@@ -36,8 +36,8 @@ pub use enumerate::{
     observable, EnumError, EnumLimits, ProgramExecution,
 };
 pub use equiv::{
-    check_equivalence, check_soundness, check_soundness_replayed, check_soundness_sharded,
-    execution_of_trace, EquivalenceError, EquivalenceReport, SoundnessError, SoundnessViolation,
+    check_equivalence, check_soundness, check_soundness_replayed, execution_of_trace,
+    EquivalenceError, EquivalenceReport, SoundnessError, SoundnessViolation,
 };
 pub use event::{Event, EventId};
 pub use exec::{CandidateExecution, EventSet, WellformednessError};

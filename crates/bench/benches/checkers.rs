@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bdrst_axiomatic::{axiomatic_outcomes, check_equivalence, EnumLimits};
+use bdrst_core::engine::Lane;
 use bdrst_core::explore::ExploreConfig;
 use bdrst_core::localdrf::check_local_drf;
 use bdrst_core::trace::LocPredicate;
@@ -47,7 +48,13 @@ fn bench_local_drf(c: &mut Criterion) {
     let l: LocPredicate = p.locs.nonatomic().collect();
     c.bench_function("local_drf_thm13_sb", |b| {
         b.iter(|| {
-            check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default()).unwrap()
+            check_local_drf(
+                &p.locs,
+                Lane::Full(p.initial_machine()),
+                &l,
+                ExploreConfig::default(),
+            )
+            .unwrap()
         })
     });
 }

@@ -2,9 +2,8 @@
 //! corpus sweeps (the multi-test workload the engine refactor targets),
 //! and per-strategy single-test exploration probes.
 //!
-//! `cargo bench --bench engine`. The committed baseline lives in
-//! `baselines/engine_baseline.json` (regenerate with the
-//! `engine_baseline` binary) so later PRs have a perf trajectory.
+//! `cargo bench --bench engine`. The `engine_baseline` binary records
+//! the same comparison as JSON under `target/baselines/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -46,7 +45,6 @@ fn bench_single_test_strategies(c: &mut Criterion) {
     for (name, strategy) in [
         ("explore_iriw_dfs", Strategy::Dfs),
         ("explore_iriw_bfs", Strategy::Bfs),
-        ("explore_iriw_parallel", Strategy::Parallel),
         ("explore_iriw_worksteal", Strategy::WorkStealing),
     ] {
         c.bench_function(name, |b| {

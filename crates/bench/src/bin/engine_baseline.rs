@@ -1,7 +1,7 @@
 //! Records the engine performance baseline as JSON.
 //!
-//! Measures the litmus corpus sweep under the sequential and parallel
-//! engines (plus single-test strategy probes on IRIW), the
+//! Measures the litmus corpus sweep sequentially and sharded across
+//! cores (plus single-test strategy probes on IRIW), the
 //! canonicalize-vs-fingerprint throughput of the state-dedup hot path,
 //! the **cold-vs-warm** corpus sweep through the content-addressed
 //! result store (warm runs are asserted to make *zero* transition-
@@ -16,13 +16,11 @@
 //! multi-threaded program explores strictly fewer complete traces than
 //! the full enumeration and that copy-on-write stores keep
 //! allocations per visited state below the pre-CoW bar; the
-//! per-program pruned-vs-full table lands in
-//! `crates/bench/baselines/dpor_report.json`. Since v7 it sweeps the
-//! check server's **connection scaling** — readiness-loop reactor vs
-//! the legacy thread-per-connection layer at equal worker count —
-//! hard-asserting the reactor sustains ≥4× the simultaneously held
-//! connections (admission counts are deterministic; wall clock stays
-//! informational on the single-core container). Since v8 it adds the
+//! per-program pruned-vs-full table lands in `dpor_report.json`. Since
+//! v7 it sweeps the check server's **connection scaling**,
+//! hard-asserting that the readiness-loop reactor holds at least 256 of
+//! 320 simultaneous connections (admission counts are deterministic;
+//! wall clock stays informational). Since v8 it adds the
 //! **persistent-store lane**: clone and path-copy-update cost at
 //! 8/64/256 locations, the bytes-shared ratio of an update against a
 //! full rebuild, and the memoized-digest hit rate of the incremental
@@ -44,9 +42,10 @@
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
-//! wide programs run in every other lane. Writes
-//! `crates/bench/baselines/engine_baseline.json` — the perf trajectory
-//! anchor for later PRs. Run from the workspace root:
+//! wide programs run in every other lane. Writes `engine_baseline.json`
+//! and `dpor_report.json` under `baselines/` in the cargo target
+//! directory (`target/baselines/` by default), never into the source
+//! tree. Run from the workspace root:
 //!
 //! ```text
 //! cargo run --release -p bdrst-bench --bin engine_baseline
@@ -104,17 +103,11 @@ const SAMPLES: usize = 10;
 /// a deterministic measure, not a wall-clock one.
 const CONN_ATTEMPTS: usize = 320;
 
-/// One lane of the connection-scaling sweep: a server under `model`
-/// capped at `max_conns`, swept with [`CONN_ATTEMPTS`] sequential
-/// connect+ping attempts, every admitted connection *held open* for the
-/// rest of the sweep. Returns (held connections, rejected connections,
-/// sweep seconds). The thread-per-connection lane must cap `max_conns`
-/// low because every admitted connection costs a live reader thread;
-/// the reactor holds the same sockets on per-connection buffers.
-fn connection_scaling_lane(
-    model: bdrst_service::ServeModel,
-    max_conns: usize,
-) -> (usize, usize, f64) {
+/// The connection-scaling sweep: a server capped at `max_conns`, swept
+/// with [`CONN_ATTEMPTS`] sequential connect+ping attempts, every
+/// admitted connection *held open* for the rest of the sweep. Returns
+/// (held connections, rejected connections, sweep seconds).
+fn connection_scaling_lane(max_conns: usize) -> (usize, usize, f64) {
     use bdrst_service::json::Json;
     use bdrst_service::server::{serve, ServeConfig};
     use bdrst_service::service::CheckService;
@@ -129,7 +122,6 @@ fn connection_scaling_lane(
         ServeConfig {
             workers: 2,
             max_conns,
-            model,
             ..ServeConfig::default()
         },
     )
@@ -163,6 +155,17 @@ fn connection_scaling_lane(
     drop(held);
     handle.shutdown();
     (held_count, rejected, elapsed)
+}
+
+/// `baselines/` in the cargo target directory this binary was built into
+/// (`<target>/<profile>/engine_baseline` → `<target>/baselines`), so a
+/// run never edits a tracked file.
+fn baseline_dir() -> std::path::PathBuf {
+    let exe = std::env::current_exe().expect("locate the running binary");
+    exe.ancestors()
+        .nth(2)
+        .expect("binary lives under <target>/<profile>/")
+        .join("baselines")
 }
 
 /// Mean seconds over [`SAMPLES`] runs of `f` (after one warm-up).
@@ -456,7 +459,6 @@ fn main() {
     };
     let dfs = probe(Strategy::Dfs);
     let bfs = probe(Strategy::Bfs);
-    let parallel = probe(Strategy::Parallel);
     let stealing = probe(Strategy::WorkStealing);
 
     // --- state-dedup hot path: canonicalize vs streaming fingerprint ---
@@ -631,19 +633,20 @@ fn main() {
     // sweep gives a stable event population. Replayed detection rides
     // recorded trace trees and must be semantics-free (hard assert via
     // the probe counter), so its throughput is pure detector work.
+    use bdrst_core::engine::Lane;
     use bdrst_core::engine::TraceGraph;
-    use bdrst_race::{detect_races, detect_races_replayed, DetectorConfig};
+    use bdrst_race::{detect_races, DetectorConfig};
     let det_cfg = DetectorConfig::default();
     let ecfg = EngineConfig::default();
     let (race_events, race_racy) = programs.iter().fold((0u64, 0usize), |(ev, racy), p| {
-        let rep = detect_races(&p.locs, p.initial_machine(), ecfg, det_cfg)
+        let rep = detect_races(&p.locs, Lane::Full(p.initial_machine()), ecfg, det_cfg)
             .expect("corpus fits the budget");
         (ev + rep.events, racy + usize::from(rep.racy()))
     });
     let race_live_s = measure(|| {
         for p in &programs {
             std::hint::black_box(
-                detect_races(&p.locs, p.initial_machine(), ecfg, det_cfg).unwrap(),
+                detect_races(&p.locs, Lane::Full(p.initial_machine()), ecfg, det_cfg).unwrap(),
             );
         }
     });
@@ -659,7 +662,9 @@ fn main() {
     let race_probes_before = bdrst_core::machine::semantics_probes();
     let race_replay_s = measure(|| {
         for (p, g) in programs.iter().zip(&traces) {
-            std::hint::black_box(detect_races_replayed(&p.locs, g, ecfg, det_cfg).unwrap());
+            std::hint::black_box(
+                detect_races(&p.locs, Lane::<ThreadState>::Replay(g), ecfg, det_cfg).unwrap(),
+            );
         }
     });
     let race_replay_probes = bdrst_core::machine::semantics_probes() - race_probes_before;
@@ -699,36 +704,26 @@ fn main() {
     );
     let service_warm_speedup = service_cold_s / service_warm_s;
 
-    // --- v7: connection-scaling sweep, reactor vs thread-per-conn ---
-    // Equal worker count, each lane capped at what its connection layer
-    // can sustainably hold: thread-per-connection pays a live reader
-    // thread per admitted socket, so its cap stays at 64; the reactor
-    // holds per-connection buffers only and runs at 256. Every admitted
-    // connection completes a real round-trip and is then held open for
-    // the rest of the sweep, so "held" is the simultaneous-connection
-    // count the lane actually sustained (deterministic — admission, not
-    // wall clock).
-    const TPC_CAP: usize = 64;
+    // --- v7: connection-scaling sweep ---
+    // The reactor holds per-connection buffers only and runs capped at
+    // 256. Every admitted connection completes a real round-trip and is
+    // then held open for the rest of the sweep, so "held" is the
+    // simultaneous-connection count the server actually sustained
+    // (deterministic — admission, not wall clock).
     const REACTOR_CAP: usize = 256;
-    let (tpc_held, tpc_rejected, tpc_s) =
-        connection_scaling_lane(bdrst_service::ServeModel::ThreadPerConn, TPC_CAP);
-    let (reactor_held, reactor_rejected, reactor_s) =
-        connection_scaling_lane(bdrst_service::ServeModel::Reactor, REACTOR_CAP);
+    let (reactor_held, reactor_rejected, reactor_s) = connection_scaling_lane(REACTOR_CAP);
     assert_eq!(
-        tpc_held + tpc_rejected,
+        reactor_held + reactor_rejected,
         CONN_ATTEMPTS,
         "every scaling-lane attempt resolves to admitted or rejected"
     );
-    assert_eq!(reactor_held + reactor_rejected, CONN_ATTEMPTS);
-    // The headline gate: the reactor sustains ≥4× the connections at
-    // equal worker count. Admission counts are deterministic, so this
-    // holds on any host, single-core included.
+    // The headline gate: the reactor holds its whole cap, 256 of the
+    // 320 attempts. Admission counts are deterministic, so this holds
+    // on any host, single-core included.
     assert!(
-        reactor_held >= 4 * tpc_held,
-        "reactor should hold >=4x the connections of thread-per-conn: \
-         reactor held {reactor_held}, thread-per-conn held {tpc_held}"
+        reactor_held >= REACTOR_CAP,
+        "reactor should hold {REACTOR_CAP} of {CONN_ATTEMPTS} connections, held {reactor_held}"
     );
-    let conn_scaling_ratio = reactor_held as f64 / tpc_held.max(1) as f64;
 
     // --- v8: persistent-store lane at 8 / 64 / 256 locations ---
     let lanes: Vec<StoreLane> = [8usize, 64, 256].into_iter().map(store_lane).collect();
@@ -745,7 +740,7 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         r#"{{
-  "schema": "bdrst-engine-baseline/v10",
+  "schema": "bdrst-engine-baseline/v11",
   "samples": {SAMPLES},
   "threads_available": {threads},
   "corpus_sweep_sequential_s": {seq:.6},
@@ -754,7 +749,6 @@ fn main() {
   "corpus_sweep_speedup": {speedup:.3},
   "explore_iriw_dfs_s": {dfs:.6},
   "explore_iriw_bfs_s": {bfs:.6},
-  "explore_iriw_parallel_s": {parallel:.6},
   "explore_iriw_worksteal_s": {stealing:.6},
   "canonicalize_states_per_s": {canonicalize_states_per_s:.0},
   "fingerprint_states_per_s": {fingerprint_states_per_s:.0},
@@ -792,13 +786,9 @@ fn main() {
   "service_warm_speedup": {service_warm_speedup:.3},
   "service_warm_semantics_probes": {service_warm_probes},
   "conn_scaling_attempts": {CONN_ATTEMPTS},
-  "conn_scaling_thread_per_conn_cap": {TPC_CAP},
-  "conn_scaling_thread_per_conn_held": {tpc_held},
-  "conn_scaling_thread_per_conn_s": {tpc_s:.6},
   "conn_scaling_reactor_cap": {REACTOR_CAP},
   "conn_scaling_reactor_held": {reactor_held},
   "conn_scaling_reactor_s": {reactor_s:.6},
-  "conn_scaling_ratio": {conn_scaling_ratio:.3},
   "store_lane_locations": [{store_sizes}],
   "store_clone_ns": [{store_clone_ns}],
   "store_update_ns": [{store_update_ns}],
@@ -813,14 +803,16 @@ fn main() {
         obs_dropped = obs_profile.dropped,
     );
     print!("{json}");
-    let out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/engine_baseline.json");
-    std::fs::write(&out, json).expect("write baseline");
-    eprintln!("wrote {}", out.display());
-    let dpor_out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/dpor_report.json");
-    std::fs::write(&dpor_out, &dpor_report).expect("write dpor report");
-    eprintln!("wrote {}", dpor_out.display());
+    let out_dir = baseline_dir();
+    std::fs::create_dir_all(&out_dir).expect("create baseline directory");
+    for (name, body) in [
+        ("engine_baseline.json", &json),
+        ("dpor_report.json", &dpor_report),
+    ] {
+        let out = out_dir.join(name);
+        std::fs::write(&out, body).expect("write baseline");
+        eprintln!("wrote {}", out.display());
+    }
 
     // Allocation check: fingerprint-first dedup must cut allocations per
     // visited state by ≥25% against the full-state reference. This is a
@@ -954,18 +946,18 @@ fn main() {
         eprintln!("single-core host: skipping parallel-beats-sequential check");
     } else if best_par < seq {
         eprintln!(
-            "parallel sweep beats sequential ({:.2}x; level-sync {par:.4}s, worksteal \
+            "parallel sweep beats sequential ({:.2}x; sharded {par:.4}s, worksteal \
              {worksteal:.4}s) on {threads} cores",
             seq / best_par
         );
     } else if enforce {
         panic!(
-            "parallel corpus sweeps (level-sync {par:.4}s, worksteal {worksteal:.4}s) should \
+            "parallel corpus sweeps (sharded {par:.4}s, worksteal {worksteal:.4}s) should \
              beat sequential ({seq:.4}s) on {threads} cores"
         );
     } else {
         eprintln!(
-            "WARNING: parallel sweeps (level-sync {par:.4}s, worksteal {worksteal:.4}s) did not \
+            "WARNING: parallel sweeps (sharded {par:.4}s, worksteal {worksteal:.4}s) did not \
              beat sequential ({seq:.4}s) on {threads} cores (noise? set \
              ENGINE_BASELINE_ENFORCE=1 to make this fatal)"
         );
@@ -1036,16 +1028,14 @@ fn main() {
         );
     }
 
-    // The connection-scaling hard gate is the deterministic ≥4× held-
-    // connection ratio asserted above; the wall clock of the two sweeps
-    // stays informational per house style (on this single-core
-    // container the reactor's polling thread and the client share one
-    // core, so per-connection latency is not comparable to a real
-    // deployment).
+    // The connection-scaling hard gate is the deterministic held-
+    // connection count asserted above; the sweep's wall clock stays
+    // informational per house style (on a single core the reactor's
+    // polling thread and the client share it, so per-connection latency
+    // is not comparable to a real deployment).
     eprintln!(
         "connection scaling: reactor held {reactor_held}/{CONN_ATTEMPTS} connections in \
-         {reactor_s:.3}s, thread-per-conn held {tpc_held}/{CONN_ATTEMPTS} in {tpc_s:.3}s \
-         ({conn_scaling_ratio:.1}x held, equal worker count{})",
+         {reactor_s:.3}s{}",
         if threads <= 1 {
             "; single-core host — wall clock informational only"
         } else {

@@ -2,6 +2,7 @@
 //! outcome sets, global DRF classification, and the local DRF theorem
 //! checked from the initial state.
 
+use bdrst_core::engine::Lane;
 use bdrst_core::explore::ExploreConfig;
 use bdrst_core::localdrf::{check_global_drf, check_local_drf, DrfStatus};
 use bdrst_core::trace::LocPredicate;
@@ -18,7 +19,11 @@ fn main() {
             "{} distinct outcomes under the operational model",
             outcomes.len()
         );
-        match check_global_drf(&p.locs, p.initial_machine(), ExploreConfig::default()) {
+        match check_global_drf(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            ExploreConfig::default(),
+        ) {
             Ok(DrfStatus::RaceFree) => println!("program is data-race-free (Thm 14 applies)"),
             Ok(DrfStatus::Racy(w)) => println!(
                 "program has an SC race (transitions {} and {}) — local DRF still bounds it",
@@ -29,7 +34,12 @@ fn main() {
         // Local DRF with L = every nonatomic location of the program (§5's
         // rule of thumb).
         let l: LocPredicate = p.locs.nonatomic().collect();
-        match check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default()) {
+        match check_local_drf(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            &l,
+            ExploreConfig::default(),
+        ) {
             Ok(stats) => println!(
                 "Theorem 13 verified from the initial state ({} L-sequential prefixes)\n",
                 stats.visited

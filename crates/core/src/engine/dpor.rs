@@ -34,7 +34,7 @@
 //! (weak flags included), its happens-before relation, or its data races,
 //! so *label-predicate* checkers — the SC/race/local-DRF family in
 //! [`crate::localdrf`] and the race detector — keep their verdicts under
-//! this mode. The `*_reduced` checker variants use it.
+//! this mode. [`crate::engine::Lane::Reduced`] uses it.
 //!
 //! [`Dependence::Observational`] additionally treats a nonatomic read and
 //! a nonatomic write to the same location as independent when the read
@@ -290,8 +290,8 @@ impl DporEngine {
         }
     }
 
-    /// An engine with an explicit [`Dependence`] mode (the `*_reduced`
-    /// checkers use [`Dependence::Conservative`]).
+    /// An engine with an explicit [`Dependence`] mode
+    /// ([`crate::engine::Lane::Reduced`] uses [`Dependence::Conservative`]).
     pub fn with_dependence(config: EngineConfig, dependence: Dependence) -> DporEngine {
         DporEngine { config, dependence }
     }

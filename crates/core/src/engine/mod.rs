@@ -14,26 +14,22 @@
 //! * **[`WorklistEngine`]** ([`worklist`]) — the sequential engine: an
 //!   iterative explicit worklist (no recursion) with DFS or BFS
 //!   [`SearchOrder`] selection.
-//! * **[`ParallelEngine`]** ([`parallel`]) — level-synchronous parallel
-//!   frontier expansion over scoped threads, with work claimed from a
-//!   shared atomic cursor and states deduplicated through a sharded
-//!   lock-striped interner. Produces the same canonical state set as the
-//!   sequential engines (each state is claimed by exactly one worker).
 //! * **[`WorkStealingEngine`]** ([`steal`]) — a persistent worker pool
-//!   with per-worker deques and FIFO stealing: no barrier per BFS level,
-//!   so a single deep exploration scales, not just multi-test sweeps.
-//!   Same claim-exactly-once interning, same visited state set.
+//!   with per-worker deques and FIFO stealing: a single deep exploration
+//!   scales, not just multi-test sweeps. States are deduplicated through
+//!   a lock-striped interner that admits each canonical state exactly
+//!   once, so the visited state set equals the sequential engines'.
 //! * **[`TraceEngine`]** ([`worklist`]) — iterative depth-first trace
 //!   enumeration for the trace-dependent checkers (data races and
 //!   happens-before are properties of traces, not states); drives a
-//!   [`TraceVisitor`]. [`TraceEngine::explore_sharded`] forks the walk
-//!   into independent label stacks (one fresh visitor per subtree, one
-//!   shared atomic trace budget) — at the root frontier when it is wide
-//!   enough, re-forking below it otherwise — and
-//!   [`TraceEngine::explore_sharded_merged`] folds the per-subtree
-//!   verdicts through [`MergeableVisitor`], so checkers whose verdicts
-//!   merge — every checker in [`crate::localdrf`] and the axiomatic
-//!   soundness checker — run subtree-parallel with no verdict plumbing.
+//!   [`TraceVisitor`].
+//! * **[`DporEngine`]** ([`dpor`]) — source-DPOR with sleep sets: one
+//!   representative trace per equivalence class of commuting
+//!   transitions, under a selectable [`Dependence`].
+//! * **[`Lane`]** ([`lane`]) — the one place a trace-level checker's walk
+//!   is chosen: the full live walk, the reduced walk, or a replay of a
+//!   recorded [`TraceGraph`]. Every checker in [`crate::localdrf`] takes
+//!   a `Lane`.
 //! * **[`StateInterner`] / [`SharedInterner`]** ([`intern`]) — state
 //!   dedup is **fingerprint-first** ([`canonical_fingerprint`] streams
 //!   the canonical form into a hasher with zero allocation; re-visits
@@ -54,9 +50,8 @@
 //!   exhaustion and corrupted-frontier detection (formerly a panic in
 //!   `canonicalize`).
 //!
-//! The legacy helpers `reachable_terminals` / `reachable_states` /
-//! `for_each_trace` in [`crate::explore`] remain as thin wrappers over
-//! these engines.
+//! The outcome helpers `reachable_terminals` / `reachable_terminals_with`
+//! in [`crate::explore`] are thin wrappers over these engines.
 //!
 //! # Strategy selection and thread knobs
 //!
@@ -68,8 +63,9 @@
 //! |---|---|---|
 //! | [`Strategy::Dfs`] | [`WorklistEngine`] (stack) | default; smallest footprint |
 //! | [`Strategy::Bfs`] | [`WorklistEngine`] (queue) | shortest-counterexample searches |
-//! | [`Strategy::Parallel`] | [`ParallelEngine`] | wide, shallow spaces; deterministic per-level visit order |
 //! | [`Strategy::WorkStealing`] | [`WorkStealingEngine`] | deep or irregular spaces; no per-level barrier |
+//!
+//! [`Strategy::Dpor`] routes outcome enumeration to [`DporEngine`].
 //!
 //! Every parallel entry point resolves its worker count through
 //! [`steal::engine_threads`]: an explicit nonzero count wins, `0` ("all
@@ -84,7 +80,7 @@
 //!
 //! ```
 //! use bdrst_core::engine::{Control, EngineConfig, SearchOrder, StateId, WorklistEngine,
-//!                          Explorer, ParallelEngine};
+//!                          Explorer, WorkStealingEngine};
 //! use bdrst_core::loc::{LocKind, LocSet, Val};
 //! use bdrst_core::machine::{Machine, RecordedExpr, StepLabel};
 //!
@@ -101,13 +97,13 @@
 //!     Control::Continue
 //! })?;
 //!
-//! let mut par_count = 0usize;
-//! let engine = ParallelEngine::new(EngineConfig::default());
+//! let mut ws_count = 0usize;
+//! let engine = WorkStealingEngine::new(EngineConfig::default());
 //! engine.explore(&locs, m0, &mut |_m: &Machine<RecordedExpr>, _id: StateId| {
-//!     par_count += 1;
+//!     ws_count += 1;
 //!     Control::Continue
 //! })?;
-//! assert_eq!(count, par_count);
+//! assert_eq!(count, ws_count);
 //! # Ok::<(), bdrst_core::engine::EngineError>(())
 //! ```
 
@@ -116,6 +112,7 @@ pub mod deque;
 pub mod dpor;
 pub mod graph;
 pub mod intern;
+pub mod lane;
 pub mod parallel;
 pub mod steal;
 pub mod worklist;
@@ -132,7 +129,8 @@ pub use deque::ChaseLev;
 pub use dpor::{dpor_reachable_terminals, full_complete_traces, Dependence, DporEngine, DporStats};
 pub use graph::{ReplayStep, ReplayVisitor, StateGraph, TraceGraph};
 pub use intern::{Hashed, SharedInterner, StateId, StateInterner};
-pub use parallel::{parallel_map, parallel_map_with, ParallelEngine};
+pub use lane::Lane;
+pub use parallel::{parallel_map, parallel_map_with};
 pub use steal::{engine_threads, StealDeques, WorkStealingEngine};
 pub use worklist::{TraceEngine, WorklistEngine};
 
@@ -190,7 +188,7 @@ pub fn intern_canonical<E: Expr>(
 }
 
 /// [`intern_canonical`] against the lock-striped [`SharedInterner`]: the
-/// claim-exactly-once dedup hot path of the parallel engines. Returns
+/// claim-exactly-once dedup hot path of the work-stealing engine. Returns
 /// the id and whether *this* call admitted the state.
 ///
 /// # Errors
@@ -213,21 +211,6 @@ pub fn claim_canonical<E: Expr>(
         bdrst_obs::counter_max(bdrst_obs::Counter::InternerOccupancy, interner.len() as u64);
     }
     Ok((id, fresh))
-}
-
-/// A visitor whose verdict state folds across disjoint subtrees: the
-/// merge protocol of the sharded checkers.
-///
-/// `explore_sharded_merged` hands every subtree its own fresh visitor and
-/// folds them back with [`MergeableVisitor::merge`], in deterministic
-/// (trunk-then-fork) order — so "any shard's violation wins" or "sum the
-/// per-shard counts" lives in one `merge` impl instead of per-call
-/// plumbing. Merging must be associative over disjoint subtree verdicts
-/// and treat a fresh (nothing-seen) visitor as an identity.
-pub trait MergeableVisitor {
-    /// Absorbs the verdict state of `other`, which explored a disjoint
-    /// subtree ordered after everything `self` has seen.
-    fn merge(&mut self, other: Self);
 }
 
 /// Budgets for exploration. The defaults are generous for litmus-scale
@@ -342,8 +325,6 @@ pub enum Strategy {
     Dfs,
     /// Sequential breadth-first worklist.
     Bfs,
-    /// Level-synchronous parallel frontier expansion.
-    Parallel,
     /// Deque-based work-stealing over a persistent worker pool (no
     /// per-level barrier).
     WorkStealing,
@@ -414,8 +395,8 @@ pub trait Explorer<E: Expr> {
 
 /// Builds the engine selected by `strategy` as a trait object.
 ///
-/// `Parallel` requires `E: Send + Sync`, which every expression language in
-/// this repository satisfies (they are plain data).
+/// `WorkStealing` requires `E: Send + Sync`, which every expression
+/// language in this repository satisfies (they are plain data).
 pub fn explorer<E: Expr + Send + Sync>(
     strategy: Strategy,
     config: EngineConfig,
@@ -427,7 +408,6 @@ pub fn explorer<E: Expr + Send + Sync>(
         // the reduced engine in `crate::explore` instead.
         Strategy::Dfs | Strategy::Dpor => Box::new(WorklistEngine::new(config, SearchOrder::Dfs)),
         Strategy::Bfs => Box::new(WorklistEngine::new(config, SearchOrder::Bfs)),
-        Strategy::Parallel => Box::new(ParallelEngine::new(config)),
         Strategy::WorkStealing => Box::new(WorkStealingEngine::new(config)),
     }
 }

@@ -1,15 +1,4 @@
-//! Parallel frontier expansion, and the shared fork/join helper used by
-//! the corpus sweeps.
-//!
-//! [`ParallelEngine`] explores the state space level by level: the current
-//! BFS frontier is expanded by a pool of scoped worker threads which claim
-//! frontier slots from a shared atomic cursor (dynamic load balancing —
-//! fast workers steal the slots slow workers never reach). Newly reached
-//! states are admitted through the sharded [`SharedInterner`], whose
-//! claim-exactly-once semantics guarantees the visitor still sees each
-//! canonical state exactly once; the visited state *set* is therefore
-//! identical to the sequential engines', which the engine tests and the
-//! litmus corpus sweep verify outcome-for-outcome.
+//! The fork/join helper used by the corpus sweeps.
 //!
 //! [`parallel_map`] shards an arbitrary slice over the same deque-based
 //! work-stealing substrate as [`crate::engine::WorkStealingEngine`]
@@ -21,146 +10,7 @@
 //! tests vary by orders of magnitude) still balance without a shared
 //! cursor in the hot path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::engine::steal::{engine_threads, StealDeques};
-use crate::engine::{
-    claim_canonical, CanonState, Control, EngineConfig, EngineError, ExploreStats, Explorer,
-    SharedInterner, StateId, StateVisitor,
-};
-use crate::loc::LocSet;
-use crate::machine::{Expr, Machine};
-
-/// Fingerprint-first claim: `Some(id)` iff this call admitted the state.
-fn claim<E: Expr>(
-    interner: &SharedInterner<CanonState<E>>,
-    locs: &LocSet,
-    m: &Machine<E>,
-) -> Result<Option<StateId>, EngineError> {
-    let (id, fresh) = claim_canonical(interner, locs, m)?;
-    Ok(fresh.then_some(id))
-}
-
-/// The states one worker claimed while expanding a frontier level.
-type Claimed<E> = Vec<(StateId, Machine<E>)>;
-
-/// The parallel state-space engine: level-synchronous BFS frontier
-/// expansion over scoped threads.
-///
-/// The visitor runs on the coordinating thread between levels (it needs
-/// neither `Send` nor locking); workers only expand machines and claim
-/// canonical states. Within a level, claimed states are presented to the
-/// visitor in [`StateId`] order.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelEngine {
-    /// Budgets.
-    pub config: EngineConfig,
-    /// Worker thread count; 0 means all available cores.
-    pub threads: usize,
-}
-
-impl ParallelEngine {
-    /// An engine using every available core.
-    pub fn new(config: EngineConfig) -> ParallelEngine {
-        ParallelEngine { config, threads: 0 }
-    }
-
-    /// An engine with an explicit worker count.
-    pub fn with_threads(config: EngineConfig, threads: usize) -> ParallelEngine {
-        ParallelEngine { config, threads }
-    }
-}
-
-impl<E: Expr + Send + Sync> Explorer<E> for ParallelEngine {
-    fn explore(
-        &self,
-        locs: &LocSet,
-        m0: Machine<E>,
-        visitor: &mut dyn StateVisitor<E>,
-    ) -> Result<ExploreStats, EngineError> {
-        let workers = engine_threads(self.threads);
-        let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
-        let started = std::time::Instant::now();
-        let finish = |stats: ExploreStats, span: &mut bdrst_obs::SpanGuard| {
-            bdrst_obs::counter_add(
-                bdrst_obs::Counter::ExploreNanos,
-                started.elapsed().as_nanos() as u64,
-            );
-            span.set_arg(stats.visited as u64);
-            stats
-        };
-        let interner: SharedInterner<CanonState<E>> = SharedInterner::new();
-        let mut stats = ExploreStats::default();
-
-        let id = claim(&interner, locs, &m0)?.expect("initial state claims an empty interner");
-        stats.visited += 1;
-        bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
-        let mut frontier: Vec<Machine<E>> = match visitor.visit(&m0, id) {
-            Control::Stop | Control::Prune => return Ok(finish(stats, &mut span)),
-            Control::Continue => vec![m0],
-        };
-
-        while !frontier.is_empty() {
-            bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, frontier.len() as u64);
-            let cursor = AtomicUsize::new(0);
-            let transitions = AtomicUsize::new(0);
-            let max_states = self.config.max_states;
-            // Expand the whole frontier: each worker repeatedly claims the
-            // next unexpanded slot and claims this level's fresh states.
-            let results: Vec<Result<Claimed<E>, EngineError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut claimed = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(m) = frontier.get(i) else { break };
-                                for t in m.transitions(locs) {
-                                    transitions.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(id) = claim(&interner, locs, &t.target)? {
-                                        claimed.push((id, t.target));
-                                    }
-                                }
-                                if interner.len() > max_states {
-                                    return Err(EngineError::budget(interner.len()));
-                                }
-                            }
-                            Ok(claimed)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            });
-
-            let mut level: Vec<(StateId, Machine<E>)> = Vec::new();
-            for r in results {
-                level.extend(r?);
-            }
-            stats.transitions += transitions.load(Ordering::Relaxed);
-            if interner.len() > self.config.max_states {
-                return Err(EngineError::budget(interner.len()));
-            }
-            // Deterministic *within-run* presentation order.
-            level.sort_by_key(|(id, _)| *id);
-            let mut next = Vec::with_capacity(level.len());
-            for (id, m) in level {
-                stats.visited += 1;
-                bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
-                bdrst_obs::progress_tick(stats.visited as u64, self.config.max_states as u64);
-                match visitor.visit(&m, id) {
-                    Control::Stop => return Ok(finish(stats, &mut span)),
-                    Control::Prune => {}
-                    Control::Continue => next.push(m),
-                }
-            }
-            frontier = next;
-        }
-        Ok(finish(stats, &mut span))
-    }
-}
 
 /// Applies `f` to every item of `items` across all available cores,
 /// preserving input order in the result.
@@ -224,77 +74,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SearchOrder, WorklistEngine};
-    use crate::loc::{Loc, LocKind, Val};
-    use crate::machine::{RecordedExpr, StepLabel};
-    use std::collections::BTreeSet;
-
-    fn locs_abf() -> (LocSet, Loc, Loc, Loc) {
-        let mut l = LocSet::new();
-        let a = l.fresh("a", LocKind::Nonatomic);
-        let b = l.fresh("b", LocKind::Nonatomic);
-        let f = l.fresh("F", LocKind::Atomic);
-        (l, a, b, f)
-    }
-
-    fn mp_machine(locs: &LocSet, a: Loc, f: Loc) -> Machine<RecordedExpr> {
-        let p0 = RecordedExpr::new(vec![
-            StepLabel::Write(a, Val(1)),
-            StepLabel::Write(f, Val(1)),
-        ]);
-        let p1 = RecordedExpr::new(vec![StepLabel::Read(f), StepLabel::Read(a)]);
-        Machine::initial(locs, [p0, p1])
-    }
-
-    fn outcome_set(
-        engine: &dyn Explorer<RecordedExpr>,
-        locs: &LocSet,
-        m0: Machine<RecordedExpr>,
-    ) -> BTreeSet<Vec<i64>> {
-        let mut outcomes = BTreeSet::new();
-        engine
-            .explore(locs, m0, &mut |m: &Machine<RecordedExpr>, _id: StateId| {
-                if m.is_terminal() {
-                    outcomes.insert(
-                        m.threads
-                            .iter()
-                            .flat_map(|t| t.expr.reads.iter().map(|v| v.0))
-                            .collect(),
-                    );
-                }
-                Control::Continue
-            })
-            .unwrap();
-        outcomes
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_message_passing() {
-        let (locs, a, _b, f) = locs_abf();
-        let seq = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
-        let par = ParallelEngine::with_threads(EngineConfig::default(), 4);
-        let s = outcome_set(&seq, &locs, mp_machine(&locs, a, f));
-        let p = outcome_set(&par, &locs, mp_machine(&locs, a, f));
-        assert_eq!(s, p);
-        // MP guarantee intact under the parallel engine: no [1, 0].
-        assert!(!p.contains(&vec![1, 0]));
-    }
-
-    #[test]
-    fn parallel_budget_is_enforced() {
-        let (locs, a, _, _) = locs_abf();
-        let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 6]);
-        let m0 = Machine::initial(&locs, [mk(), mk(), mk()]);
-        let tiny = EngineConfig {
-            max_states: 10,
-            max_traces: 10,
-        };
-        let par = ParallelEngine::with_threads(tiny, 4);
-        let r = par.explore(&locs, m0, &mut |_: &Machine<RecordedExpr>, _: StateId| {
-            Control::Continue
-        });
-        assert!(matches!(r, Err(EngineError::BudgetExceeded { .. })));
-    }
 
     #[test]
     fn parallel_map_preserves_order_and_covers_all() {

@@ -1,10 +1,10 @@
 //! Deque-based work-stealing: the persistent worker pool behind
 //! [`WorkStealingEngine`] and [`crate::engine::parallel_map`].
 //!
-//! The level-synchronous [`crate::engine::ParallelEngine`] pays a full
-//! thread barrier per BFS level; litmus-scale state spaces have shallow,
-//! narrow levels, so that barrier dominates. The work-stealing engine
-//! instead keeps one pool of workers alive for the whole exploration:
+//! A level-synchronous parallel BFS would pay a full thread barrier per
+//! level; litmus-scale state spaces have shallow, narrow levels, so that
+//! barrier dominates. The work-stealing engine instead keeps one pool of
+//! workers alive for the whole exploration:
 //!
 //! * each worker owns a deque ([`StealDeques`], riding the lock-free
 //!   [`ChaseLev`] deque) of machines awaiting expansion, pushed and
@@ -498,9 +498,7 @@ impl<E: Expr + Send + Sync> Explorer<E> for WorkStealingEngine {
             // regime is search-order dependent even for the sequential
             // engines (DFS and BFS intern different state prefixes, and
             // the budget check precedes each visit); this engine resolves
-            // the race deterministically in favour of the verdict — the
-            // same precedence `TraceEngine::explore_sharded` gives a
-            // stopped shard.
+            // the race deterministically in favour of the verdict.
             Some(e) if !visitor_stopped => return Err(e),
             _ => {}
         }

@@ -1,37 +1,27 @@
 //! Exhaustive exploration of the operational semantics — the convenience
 //! layer over [`crate::engine`].
 //!
-//! Two modes:
-//!
-//! * **State-space exploration** ([`reachable_terminals`], [`reachable_states`])
-//!   deduplicates machines up to *timestamp renaming*: two stores that
-//!   differ only in the rational representatives of their timestamps are
-//!   observationally identical, so each location's timestamps are replaced
-//!   by their rank before hashing. Used for outcome enumeration.
-//!
-//! * **Trace enumeration** ([`for_each_trace`]) walks every trace (up to a
-//!   configurable budget) carrying the [`TraceLabels`]; data races and
-//!   happens-before are trace-dependent, so the DRF checkers use this mode.
+//! [`reachable_terminals`] and [`reachable_terminals_with`] enumerate
+//! outcomes: they deduplicate machines up to *timestamp renaming* (two
+//! stores that differ only in the rational representatives of their
+//! timestamps are observationally identical, so each location's
+//! timestamps are replaced by their rank before hashing) and return the
+//! terminal machines.
 //!
 //! These functions are thin wrappers: the engines themselves (iterative
-//! worklist, interned canonical states, parallel frontier expansion) live
-//! in [`crate::engine`], and checkers that need to steer the search
-//! implement [`crate::engine::StateVisitor`] / [`crate::engine::TraceVisitor`]
-//! directly.
+//! worklist, interned canonical states, work-stealing expansion, trace
+//! enumeration) live in [`crate::engine`], and checkers that need to
+//! steer the search implement [`crate::engine::StateVisitor`] /
+//! [`crate::engine::TraceVisitor`] directly.
 
 use crate::engine::{
-    Control, EngineError, Explorer, SearchOrder, StateId, Strategy, TraceEngine, TraceVisitor,
-    WorklistEngine,
+    Control, EngineError, Explorer, SearchOrder, StateId, Strategy, WorklistEngine,
 };
 use crate::loc::LocSet;
-use crate::machine::{Expr, Machine, Transition};
-use crate::trace::TraceLabels;
+use crate::machine::{Expr, Machine};
 
 pub use crate::engine::canonicalize;
 pub use crate::engine::CanonState;
-/// Visitor verdicts (the engine's [`Control`], re-exported under the
-/// historical name used by trace visitors).
-pub use crate::engine::Control as Visit;
 /// Budget configuration (the engine's [`crate::engine::EngineConfig`],
 /// re-exported under its historical name).
 pub use crate::engine::EngineConfig as ExploreConfig;
@@ -58,7 +48,7 @@ pub fn reachable_terminals<E: Expr>(
 }
 
 /// [`reachable_terminals`] with an explicit engine [`Strategy`]
-/// (DFS / BFS / parallel / DPOR). All strategies return the same
+/// (DFS / BFS / work-stealing / DPOR). All strategies return the same
 /// canonical terminal set; only discovery order — and, for
 /// [`Strategy::Dpor`], the number of traces explored to find it —
 /// differs.
@@ -103,79 +93,25 @@ fn collect_terminals<E: Expr>(
     Ok(terminals)
 }
 
-/// Explores the full state space from `m0`, invoking `visit` once per
-/// distinct canonical state (including `m0` and terminals).
-///
-/// # Errors
-///
-/// Returns [`EngineError`] if the state budget is exhausted or a machine
-/// fails to canonicalize.
-pub fn reachable_states<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: ExploreConfig,
-    mut visit: impl FnMut(&Machine<E>),
-) -> Result<ExploreStats, EngineError> {
-    let engine = WorklistEngine::new(config, SearchOrder::Dfs);
-    engine.explore(locs, m0, &mut |m: &Machine<E>, _id: StateId| {
-        visit(m);
-        Control::Continue
-    })
-}
-
-/// Adapts a `(step_filter, visit)` closure pair to [`TraceVisitor`].
-struct ClosureTraceVisitor<F, V> {
-    filter: F,
-    visit: V,
-}
-
-impl<E, F, V> TraceVisitor<E> for ClosureTraceVisitor<F, V>
-where
-    E: Expr,
-    F: FnMut(&Transition<E>) -> bool,
-    V: FnMut(&TraceLabels, &Transition<E>) -> Visit,
-{
-    fn step_filter(&mut self, transition: &Transition<E>) -> bool {
-        (self.filter)(transition)
-    }
-
-    fn visit(&mut self, trace: &TraceLabels, transition: &Transition<E>) -> Control {
-        (self.visit)(trace, transition)
-    }
-}
-
-/// Enumerates traces from `m0` in depth-first order.
-///
-/// `step_filter` selects which transitions may be taken (e.g. only
-/// L-sequential ones); `visit` is called after each extension with the
-/// current trace labels, the transition just taken, and the machine
-/// reached. Every prefix of a trace is itself a trace (Definition 5), so
-/// the visitor sees each prefix exactly once.
-///
-/// # Errors
-///
-/// Returns [`EngineError::BudgetExceeded`] if more than `config.max_traces`
-/// trace extensions are made.
-pub fn for_each_trace<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: ExploreConfig,
-    step_filter: impl FnMut(&Transition<E>) -> bool,
-    visit: impl FnMut(&TraceLabels, &Transition<E>) -> Visit,
-) -> Result<ExploreStats, EngineError> {
-    let mut visitor = ClosureTraceVisitor {
-        filter: step_filter,
-        visit,
-    };
-    TraceEngine::new(config).explore(locs, m0, &mut visitor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{TraceEngine, TraceVisitor};
     use crate::loc::{Loc, LocKind, Val};
-    use crate::machine::{RecordedExpr, StepLabel};
+    use crate::machine::{RecordedExpr, StepLabel, Transition};
+    use crate::trace::TraceLabels;
     use std::collections::HashSet;
+
+    /// A trace visitor from a closure.
+    struct Visitor<F>(F);
+
+    impl<F: FnMut(&TraceLabels, &Transition<RecordedExpr>) -> Control> TraceVisitor<RecordedExpr>
+        for Visitor<F>
+    {
+        fn visit(&mut self, trace: &TraceLabels, t: &Transition<RecordedExpr>) -> Control {
+            (self.0)(trace, t)
+        }
+    }
 
     fn locs_ab() -> (LocSet, Loc, Loc) {
         let mut l = LocSet::new();
@@ -236,7 +172,6 @@ mod tests {
         };
         let dfs = outcome_set(Strategy::Dfs);
         assert_eq!(dfs, outcome_set(Strategy::Bfs));
-        assert_eq!(dfs, outcome_set(Strategy::Parallel));
         assert_eq!(dfs, outcome_set(Strategy::WorkStealing));
     }
 
@@ -247,19 +182,15 @@ mod tests {
         let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1))]);
         let m0 = Machine::initial(&locs, [p0, p1]);
         let mut complete = 0;
-        for_each_trace(
-            &locs,
-            m0,
-            ExploreConfig::default(),
-            |_| true,
-            |tr, t| {
-                if tr.len() == 2 && t.target.is_terminal() {
-                    complete += 1;
-                }
-                Visit::Continue
-            },
-        )
-        .unwrap();
+        let mut v = Visitor(|tr: &TraceLabels, t: &Transition<RecordedExpr>| {
+            if tr.len() == 2 && t.target.is_terminal() {
+                complete += 1;
+            }
+            Control::Continue
+        });
+        TraceEngine::new(ExploreConfig::default())
+            .explore(&locs, m0, &mut v)
+            .unwrap();
         // Independent writes to different locations: 2 interleavings.
         assert_eq!(complete, 2);
     }
@@ -277,7 +208,8 @@ mod tests {
             reachable_terminals(&locs, m0.clone(), tiny),
             Err(EngineError::BudgetExceeded { .. })
         ));
-        let r = for_each_trace(&locs, m0, tiny, |_| true, |_, _| Visit::Continue);
+        let mut go = Visitor(|_: &TraceLabels, _: &Transition<RecordedExpr>| Control::Continue);
+        let r = TraceEngine::new(tiny).explore(&locs, m0, &mut go);
         assert!(matches!(r, Err(EngineError::BudgetExceeded { .. })));
     }
 
@@ -287,17 +219,13 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 4]);
         let m0 = Machine::initial(&locs, [p0]);
         let mut seen = 0;
-        for_each_trace(
-            &locs,
-            m0,
-            ExploreConfig::default(),
-            |_| true,
-            |_, _| {
-                seen += 1;
-                Visit::Stop
-            },
-        )
-        .unwrap();
+        let mut v = Visitor(|_: &TraceLabels, _: &Transition<RecordedExpr>| {
+            seen += 1;
+            Control::Stop
+        });
+        TraceEngine::new(ExploreConfig::default())
+            .explore(&locs, m0, &mut v)
+            .unwrap();
         assert_eq!(seen, 1);
     }
 }

@@ -17,47 +17,26 @@
 //! the failure-injection tests, which check that deliberately broken
 //! semantics (e.g. non-synchronising atomics) are caught.
 //!
-//! Each checker drives the [`crate::engine::TraceEngine`] through its own
-//! [`TraceVisitor`] implementation — no intermediate closure plumbing —
-//! so the engine's budget and error surface ([`EngineError`]) apply
-//! uniformly.
-//!
-//! Every checker also has a `*_sharded` variant that forks the trace walk
-//! over the work-stealing pool
-//! ([`TraceEngine::explore_sharded_merged`]): each fork gets an
-//! independent label stack and a fresh visitor, verdicts are folded back
-//! through [`MergeableVisitor`] (any subtree's violation wins), and the
-//! trace budget is a single shared counter — a budget split never changes
-//! a verdict. The differential suites assert the sharded verdicts match
-//! the sequential ones across the corpus and generated programs.
-//!
-//! The core checkers additionally have `*_reduced` variants that walk a
-//! partial-order-reduced trace tree ([`DporEngine`] under
-//! [`Dependence::Conservative`]) instead of the full enumeration.
-//! Conservative commutations preserve transition labels, happens-before,
-//! data races and weak flags, so trace-existence verdicts ("some SC trace
-//! races", "some trace has a weak transition") are invariant across each
-//! explored equivalence class and the reduced walk classifies programs
-//! exactly as the full one — in a fraction of the traces. The
-//! differential suites assert the agreement corpus-wide and on generated
-//! programs.
-//!
-//! Finally, every checker has a `*_replayed` variant over a recorded
-//! [`TraceGraph`] ([`TraceEngine::record`]): the verdict logic of each
-//! visitor consumes only transition *labels* (and the labels enabled at
-//! reached states), so it implements [`ReplayVisitor`] alongside
-//! [`TraceVisitor`] and re-checks against the cached tree without running
-//! the transition semantics at all. Record the tree once, then check
-//! L-stability for many `L` sets, SC-race-freedom, and the weak-trace
-//! scan against the same recording — [`check_global_drf_cached`] does
-//! exactly that for Theorem 14's two scans.
+//! Each checker is one [`TraceVisitor`] + [`ReplayVisitor`] whose verdict
+//! consumes transition *labels* only, and one public function that takes
+//! the walk to run as a [`Lane`]: the full live enumeration
+//! ([`Lane::Full`]), the partial-order-reduced one ([`Lane::Reduced`]),
+//! or a replay of a recorded [`crate::engine::TraceGraph`]
+//! ([`Lane::Replay`]), which runs no transition semantics at all — record
+//! the tree once, then check L-stability for many `L` sets,
+//! SC-race-freedom and Theorem 14's two scans against the same recording.
+//! The engine's budget and error surface ([`EngineError`]) apply
+//! uniformly across lanes. The reduced walk preserves labels,
+//! happens-before, races and weak flags, so it classifies programs
+//! exactly as the full one; witnesses may differ. The differential
+//! suites run every checker on every lane over the litmus corpus and
+//! generated programs.
 
 use crate::engine::{
-    Control, Dependence, DporEngine, DporStats, EngineConfig, EngineError, ExploreStats,
-    MergeableVisitor, ReplayStep, ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
+    Control, EngineConfig, EngineError, ExploreStats, Lane, ReplayStep, ReplayVisitor, TraceVisitor,
 };
 use crate::loc::LocSet;
-use crate::machine::{Expr, Machine, Transition, TransitionLabel};
+use crate::machine::{Expr, Transition, TransitionLabel};
 use crate::trace::{conflicting, is_l_sequential, LocPredicate, TraceLabels};
 
 /// A counterexample to Theorem 13 found by [`check_local_drf`]: an
@@ -171,20 +150,20 @@ impl ReplayVisitor for LStabilityVisitor<'_> {
     }
 }
 
-impl MergeableVisitor for LStabilityVisitor<'_> {
-    fn merge(&mut self, other: Self) {
-        self.stable &= other.stable;
-    }
-}
-
-/// Checks Definition 12 for the state reached by `prefix_machine` via the
-/// transitions `prefix`: explores every L-sequential suffix and reports
-/// whether any suffix transition races with any prefix transition.
+/// Checks Definition 12 for the state `M` reached via the transitions
+/// `prefix`: walks every L-sequential suffix from `M` on `lane` (a
+/// recording of `M`'s trace tree, for [`Lane::Replay`]) and reports
+/// whether any suffix transition races with any prefix transition. One
+/// recording serves every `L` set and every prefix reaching `M`.
 ///
 /// (Definition 12 quantifies over *all* traces through `M`; callers that
 /// need full generality enumerate prefixes reaching `M` and invoke this per
 /// prefix. For the paper's reasoning patterns — "no concurrent accesses to
 /// `L` before the fragment" — the given-prefix form is the one used.)
+///
+/// The verdict is a race-existence question over suffixes, so
+/// [`Lane::Reduced`] answers it exactly: conservative commutations
+/// preserve labels and happens-before, hence races.
 ///
 /// # Errors
 ///
@@ -192,7 +171,7 @@ impl MergeableVisitor for LStabilityVisitor<'_> {
 pub fn is_l_stable_for_prefix<E: Expr>(
     locs: &LocSet,
     prefix: &[TransitionLabel],
-    prefix_machine: Machine<E>,
+    lane: Lane<'_, E>,
     l_set: &LocPredicate,
     config: EngineConfig,
 ) -> Result<bool, EngineError> {
@@ -202,59 +181,7 @@ pub fn is_l_stable_for_prefix<E: Expr>(
         l_set,
         stable: true,
     };
-    TraceEngine::new(config).explore(locs, prefix_machine, &mut v)?;
-    Ok(v.stable)
-}
-
-/// [`is_l_stable_for_prefix`], with the suffix exploration sharded across
-/// `threads` workers (0 = all cores). The state is L-stable iff every
-/// subtree was found race-free.
-///
-/// # Errors
-///
-/// As [`is_l_stable_for_prefix`]; the budget is shared across shards.
-pub fn is_l_stable_for_prefix_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    prefix: &[TransitionLabel],
-    prefix_machine: Machine<E>,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<bool, EngineError> {
-    let (_, merged) =
-        TraceEngine::new(config).explore_sharded_merged(locs, prefix_machine, threads, || {
-            LStabilityVisitor {
-                locs,
-                prefix,
-                l_set,
-                stable: true,
-            }
-        })?;
-    Ok(merged.stable)
-}
-
-/// [`is_l_stable_for_prefix`] over a recorded [`TraceGraph`] of the
-/// prefix machine: re-checks Definition 12 (for this `prefix` and
-/// `l_set`) without re-running the transition semantics. One recording
-/// serves every `L` set and every prefix reaching the same machine.
-///
-/// # Errors
-///
-/// As [`is_l_stable_for_prefix`] (replay mirrors the live budget).
-pub fn is_l_stable_for_prefix_replayed(
-    locs: &LocSet,
-    prefix: &[TransitionLabel],
-    graph: &TraceGraph,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-) -> Result<bool, EngineError> {
-    let mut v = LStabilityVisitor {
-        locs,
-        prefix,
-        l_set,
-        stable: true,
-    };
-    graph.replay(config, &mut v)?;
+    lane.walk(locs, config, &mut v)?;
     Ok(v.stable)
 }
 
@@ -340,21 +267,22 @@ impl ReplayVisitor for LocalDrfVisitor<'_> {
     }
 }
 
-impl MergeableVisitor for LocalDrfVisitor<'_> {
-    fn merge(&mut self, other: Self) {
-        if self.violation.is_none() {
-            self.violation = other.violation;
-        }
-    }
-}
-
-/// Checks Theorem 13 from the machine state `m`, assumed L-stable.
+/// Checks Theorem 13 from the machine state `M` at the root of `lane`,
+/// assumed L-stable.
 ///
-/// Explores every L-sequential transition sequence from `m` (within
-/// budget). At each reached state, if some enabled transition is *not*
-/// L-sequential, verifies the theorem's guarantee: an enabled non-weak
-/// transition on a location in `L` exists that has a data race with one of
-/// the suffix transitions. Returns statistics on success.
+/// Explores every L-sequential transition sequence from `M` (within
+/// budget). At each reached state, including `M` itself, if some enabled
+/// transition is *not* L-sequential, verifies the theorem's guarantee:
+/// an enabled non-weak transition on a location in `L` exists that has a
+/// data race with one of the suffix transitions. Returns statistics on
+/// success.
+///
+/// On [`Lane::Reduced`] the conclusion is checked along one
+/// representative suffix per equivalence class. Any violation reported
+/// is real (the checked states are reachable), and the per-state verdict
+/// depends only on data that conservative commutations preserve — suffix
+/// labels up to reordering of independent pairs, their races, and the
+/// reached machine state — so equivalent suffixes agree on it.
 ///
 /// # Errors
 ///
@@ -364,7 +292,7 @@ impl MergeableVisitor for LocalDrfVisitor<'_> {
 /// * [`CheckError::Engine`] if exploration exceeds the budget.
 pub fn check_local_drf<E: Expr>(
     locs: &LocSet,
-    m: Machine<E>,
+    lane: Lane<'_, E>,
     l_set: &LocPredicate,
     config: EngineConfig,
 ) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
@@ -373,132 +301,12 @@ pub fn check_local_drf<E: Expr>(
         l_set,
         violation: None,
     };
-
-    // The empty suffix (state `m` itself) must also satisfy the theorem.
-    let enabled: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
-    if let Some(v) = visitor.check_state(&TraceLabels::new(), enabled.iter().copied()) {
+    // The empty suffix (state `M` itself) must also satisfy the theorem.
+    let enabled = lane.root_enabled(locs);
+    if let Some(v) = visitor.check_state(&TraceLabels::new(), enabled.into_iter()) {
         return Err(CheckError::Violation(v));
     }
-
-    let stats = TraceEngine::new(config).explore(locs, m, &mut visitor)?;
-    match visitor.violation {
-        Some(v) => Err(CheckError::Violation(v)),
-        None => Ok(stats),
-    }
-}
-
-/// [`check_local_drf`], with the L-sequential suffix walk sharded across
-/// `threads` workers (0 = all cores). Any subtree's counterexample fails
-/// the theorem (the first, in trunk-then-fork order, is reported).
-///
-/// # Errors
-///
-/// As [`check_local_drf`]; the budget is shared across shards.
-pub fn check_local_drf_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m: Machine<E>,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-    let probe = LocalDrfVisitor {
-        locs,
-        l_set,
-        violation: None,
-    };
-    // The empty suffix (state `m` itself) must also satisfy the theorem.
-    let enabled: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
-    if let Some(v) = probe.check_state(&TraceLabels::new(), enabled.iter().copied()) {
-        return Err(CheckError::Violation(v));
-    }
-
-    let (stats, merged) = TraceEngine::new(config)
-        .explore_sharded_merged(locs, m, threads, || LocalDrfVisitor {
-            locs,
-            l_set,
-            violation: None,
-        })
-        .map_err(CheckError::from)?;
-    match merged.violation {
-        Some(v) => Err(CheckError::Violation(v)),
-        None => Ok(stats),
-    }
-}
-
-/// [`check_local_drf`] over a recorded [`TraceGraph`] of the checked
-/// machine: Theorem 13 is re-verified — for any `l_set` — against the
-/// cached tree, without re-running the transition semantics. The
-/// recorded per-node enabled labels supply both the theorem's "every
-/// enabled transition is L-sequential" disjunct and its racing-witness
-/// search.
-///
-/// # Errors
-///
-/// As [`check_local_drf`] (replay mirrors the live budget).
-pub fn check_local_drf_replayed(
-    locs: &LocSet,
-    graph: &TraceGraph,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-    let mut visitor = LocalDrfVisitor {
-        locs,
-        l_set,
-        violation: None,
-    };
-    // The empty suffix (the recorded root) must also satisfy the theorem.
-    if let Some(v) = visitor.check_state(&TraceLabels::new(), graph.root_enabled().iter().copied())
-    {
-        return Err(CheckError::Violation(v));
-    }
-    let stats = graph
-        .replay(config, &mut visitor)
-        .map_err(CheckError::from)?;
-    match visitor.violation {
-        Some(v) => Err(CheckError::Violation(v)),
-        None => Ok(stats),
-    }
-}
-
-/// [`check_local_drf`] over the partial-order-reduced suffix tree
-/// ([`DporEngine`], [`Dependence::Conservative`]): Theorem 13's
-/// conclusion is checked at every state along the DPOR-representative
-/// L-sequential suffixes instead of all of them.
-///
-/// Any violation reported is real (the checked states are genuinely
-/// reachable). Conversely, the per-state verdict depends only on data
-/// that conservative commutations preserve — suffix labels up to
-/// reordering of independent pairs, their races, and the (identical)
-/// reached machine state — so equivalent suffixes agree on it, and the
-/// reduced sweep covers one representative per class. The differential
-/// suites assert corpus-wide agreement with [`check_local_drf`].
-///
-/// # Errors
-///
-/// As [`check_local_drf`]; statistics come back as [`DporStats`].
-pub fn check_local_drf_reduced<E: Expr>(
-    locs: &LocSet,
-    m: Machine<E>,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-) -> Result<DporStats, CheckError<LocalDrfViolation>> {
-    let mut visitor = LocalDrfVisitor {
-        locs,
-        l_set,
-        violation: None,
-    };
-
-    // The empty suffix (state `m` itself) must also satisfy the theorem.
-    let enabled: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
-    if let Some(v) = visitor.check_state(&TraceLabels::new(), enabled.iter().copied()) {
-        return Err(CheckError::Violation(v));
-    }
-
-    let stats = DporEngine::with_dependence(config, Dependence::Conservative).explore(
-        locs,
-        m,
-        &mut visitor,
-    )?;
+    let stats = lane.walk(locs, config, &mut visitor)?;
     match visitor.violation {
         Some(v) => Err(CheckError::Violation(v)),
         None => Ok(stats),
@@ -566,101 +374,29 @@ impl ReplayVisitor for ScRaceVisitor<'_> {
     }
 }
 
-impl MergeableVisitor for ScRaceVisitor<'_> {
-    fn merge(&mut self, other: Self) {
-        if matches!(self.status, DrfStatus::RaceFree) {
-            self.status = other.status;
-        }
-    }
-}
-
-/// Determines whether the program starting at `m0` is data-race-free in the
-/// sense of Theorem 14's hypothesis: all sequentially consistent traces
-/// contain no data races.
+/// Determines whether the program at the root of `lane` is data-race-free
+/// in the sense of Theorem 14's hypothesis: all sequentially consistent
+/// traces contain no data races.
+///
+/// [`Lane::Full`] and [`Lane::Replay`] walk in the same depth-first order
+/// and report the same witness. [`Lane::Reduced`] reports the same
+/// classification — a race in any SC trace appears in its explored
+/// representative — but possibly a different witness, so differential
+/// checks compare the [`DrfStatus`] polarity.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError`] on budget exhaustion.
 pub fn sc_race_freedom<E: Expr>(
     locs: &LocSet,
-    m0: Machine<E>,
+    lane: Lane<'_, E>,
     config: EngineConfig,
 ) -> Result<DrfStatus, EngineError> {
     let mut v = ScRaceVisitor {
         locs,
         status: DrfStatus::RaceFree,
     };
-    TraceEngine::new(config).explore(locs, m0, &mut v)?;
-    Ok(v.status)
-}
-
-/// [`sc_race_freedom`], with the SC-trace enumeration sharded across
-/// `threads` workers (0 = all cores). The program is racy iff any
-/// subtree contains a racy SC trace; the classification (not the
-/// witness) matches the sequential checker exactly.
-///
-/// # Errors
-///
-/// As [`sc_race_freedom`]; the budget is shared across shards.
-pub fn sc_race_freedom_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<DrfStatus, EngineError> {
-    let (_, merged) =
-        TraceEngine::new(config).explore_sharded_merged(locs, m0, threads, || ScRaceVisitor {
-            locs,
-            status: DrfStatus::RaceFree,
-        })?;
-    Ok(merged.status)
-}
-
-/// [`sc_race_freedom`] over the partial-order-reduced SC trace tree
-/// ([`DporEngine`], [`Dependence::Conservative`]): classifies the
-/// program from one representative trace per equivalence class.
-///
-/// The classification matches [`sc_race_freedom`] exactly: conservative
-/// commutations preserve labels and happens-before, so a race in any SC
-/// trace appears in its explored representative too. The *witness* may
-/// differ (a different representative races first), so differential
-/// checks compare the [`DrfStatus`] polarity, not the witness.
-///
-/// # Errors
-///
-/// As [`sc_race_freedom`].
-pub fn sc_race_freedom_reduced<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-) -> Result<DrfStatus, EngineError> {
-    let mut v = ScRaceVisitor {
-        locs,
-        status: DrfStatus::RaceFree,
-    };
-    DporEngine::with_dependence(config, Dependence::Conservative).explore(locs, m0, &mut v)?;
-    Ok(v.status)
-}
-
-/// [`sc_race_freedom`] over a recorded [`TraceGraph`]: classifies the
-/// program from the cached tree, without re-running the transition
-/// semantics. Verdicts — including the witness — are identical to the
-/// sequential checker's, because the replay walks extensions in the same
-/// depth-first order under the same SC filter.
-///
-/// # Errors
-///
-/// As [`sc_race_freedom`] (replay mirrors the live budget).
-pub fn sc_race_freedom_replayed(
-    locs: &LocSet,
-    graph: &TraceGraph,
-    config: EngineConfig,
-) -> Result<DrfStatus, EngineError> {
-    let mut v = ScRaceVisitor {
-        locs,
-        status: DrfStatus::RaceFree,
-    };
-    graph.replay(config, &mut v)?;
+    lane.walk(locs, config, &mut v)?;
     Ok(v.status)
 }
 
@@ -692,85 +428,22 @@ impl ReplayVisitor for WeakTraceVisitor {
     }
 }
 
-impl MergeableVisitor for WeakTraceVisitor {
-    fn merge(&mut self, other: Self) {
-        if self.witness.is_none() {
-            self.witness = other.witness;
-        }
-    }
-}
-
-/// Determines whether *every* trace of the program is sequentially
-/// consistent, i.e. no weak transition is ever enabled along a
-/// sequentially consistent trace. (The first weak transition of any trace
-/// is preceded by an SC prefix, so SC-reachability suffices.)
+/// Determines whether *every* trace of the program at the root of `lane`
+/// is sequentially consistent, i.e. no weak transition is ever enabled
+/// along a sequentially consistent trace. (The first weak transition of
+/// any trace is preceded by an SC prefix, so SC-reachability suffices.)
+/// Weak flags are part of the labels, which every lane preserves.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError`] on budget exhaustion.
 pub fn all_traces_sequentially_consistent<E: Expr>(
     locs: &LocSet,
-    m0: Machine<E>,
+    lane: Lane<'_, E>,
     config: EngineConfig,
 ) -> Result<bool, EngineError> {
     let mut v = WeakTraceVisitor { witness: None };
-    TraceEngine::new(config).explore(locs, m0, &mut v)?;
-    Ok(v.witness.is_none())
-}
-
-/// [`all_traces_sequentially_consistent`], sharded across `threads`
-/// workers (0 = all cores).
-///
-/// # Errors
-///
-/// As [`all_traces_sequentially_consistent`]; the budget is shared.
-pub fn all_traces_sequentially_consistent_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<bool, EngineError> {
-    let (_, merged) = TraceEngine::new(config)
-        .explore_sharded_merged(locs, m0, threads, || WeakTraceVisitor { witness: None })?;
-    Ok(merged.witness.is_none())
-}
-
-/// [`all_traces_sequentially_consistent`] over the partial-order-reduced
-/// trace tree ([`DporEngine`], [`Dependence::Conservative`]): scans one
-/// representative per equivalence class for a weak transition.
-///
-/// Weak flags are part of the transition labels, which conservative
-/// commutations preserve — a weak transition in any trace is a weak
-/// transition in its explored representative — so the verdict matches
-/// the full scan's.
-///
-/// # Errors
-///
-/// As [`all_traces_sequentially_consistent`].
-pub fn all_traces_sequentially_consistent_reduced<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-) -> Result<bool, EngineError> {
-    let mut v = WeakTraceVisitor { witness: None };
-    DporEngine::with_dependence(config, Dependence::Conservative).explore(locs, m0, &mut v)?;
-    Ok(v.witness.is_none())
-}
-
-/// [`all_traces_sequentially_consistent`] over a recorded [`TraceGraph`]:
-/// scans the cached tree for a weak transition without re-running the
-/// semantics.
-///
-/// # Errors
-///
-/// As [`all_traces_sequentially_consistent`] (replay mirrors the live
-/// budget).
-pub fn all_traces_sequentially_consistent_replayed(
-    graph: &TraceGraph,
-    config: EngineConfig,
-) -> Result<bool, EngineError> {
-    let mut v = WeakTraceVisitor { witness: None };
-    graph.replay(config, &mut v)?;
+    lane.walk(locs, config, &mut v)?;
     Ok(v.witness.is_none())
 }
 
@@ -782,9 +455,16 @@ pub struct GlobalDrfViolation {
     pub weak_transition: TransitionLabel,
 }
 
-/// Checks Theorem 14 on the program starting at `m0`: if the program is
-/// data-race-free (per [`sc_race_freedom`]), verifies that all traces are
-/// sequentially consistent. Racy programs satisfy the theorem vacuously.
+/// Checks Theorem 14 on the program at the root of `lane`: if the
+/// program is data-race-free (per [`sc_race_freedom`]), verifies that all
+/// traces are sequentially consistent. Racy programs satisfy the theorem
+/// vacuously.
+///
+/// Both scans walk `lane`. On [`Lane::Replay`] the transition semantics
+/// never runs, so one recording ([`crate::engine::TraceEngine::record`])
+/// serves the two scans. The recording enumerates the full (unfiltered)
+/// tree, so a budget that fits the SC-filtered scan but not the whole
+/// tree fails to record where [`Lane::Full`] would succeed.
 ///
 /// # Errors
 ///
@@ -793,15 +473,13 @@ pub struct GlobalDrfViolation {
 /// * [`CheckError::Engine`] on budget exhaustion.
 pub fn check_global_drf<E: Expr>(
     locs: &LocSet,
-    m0: Machine<E>,
+    lane: Lane<'_, E>,
     config: EngineConfig,
 ) -> Result<DrfStatus, CheckError<GlobalDrfViolation>> {
-    let status = sc_race_freedom(locs, m0.clone(), config)?;
+    let status = sc_race_freedom(locs, lane.clone(), config)?;
     if let DrfStatus::RaceFree = status {
         let mut v = WeakTraceVisitor { witness: None };
-        TraceEngine::new(config)
-            .explore(locs, m0, &mut v)
-            .map_err(CheckError::from)?;
+        lane.walk(locs, config, &mut v)?;
         if let Some(weak_transition) = v.witness {
             return Err(CheckError::Violation(GlobalDrfViolation {
                 weak_transition,
@@ -811,102 +489,44 @@ pub fn check_global_drf<E: Expr>(
     Ok(status)
 }
 
-/// [`check_global_drf`], with both trace enumerations (the SC race scan
-/// and the weak-transition scan) sharded at the root frontier across
-/// `threads` workers (0 = all cores).
+/// [`check_local_drf`] on [`Lane::Replay`] of `graph`. Kept under this
+/// name only because `bdrstbench/tracer` calls it; new code passes the
+/// lane.
 ///
 /// # Errors
 ///
-/// As [`check_global_drf`]; both budgets are shared across their shards.
-pub fn check_global_drf_sharded<E: Expr + Send + Sync>(
+/// As [`check_local_drf`].
+pub fn check_local_drf_replayed(
     locs: &LocSet,
-    m0: Machine<E>,
+    graph: &crate::engine::TraceGraph,
+    l_set: &LocPredicate,
     config: EngineConfig,
-    threads: usize,
-) -> Result<DrfStatus, CheckError<GlobalDrfViolation>> {
-    let status = sc_race_freedom_sharded(locs, m0.clone(), config, threads)?;
-    if let DrfStatus::RaceFree = status {
-        let (_, merged) = TraceEngine::new(config)
-            .explore_sharded_merged(locs, m0, threads, || WeakTraceVisitor { witness: None })
-            .map_err(CheckError::from)?;
-        if let Some(weak_transition) = merged.witness {
-            return Err(CheckError::Violation(GlobalDrfViolation {
-                weak_transition,
-            }));
-        }
-    }
-    Ok(status)
+) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
+    let lane = Lane::<crate::machine::RecordedExpr>::Replay(graph);
+    check_local_drf(locs, lane, l_set, config)
 }
 
-/// [`check_global_drf`] with both trace enumerations partial-order
-/// reduced ([`sc_race_freedom_reduced`] for the SC race scan,
-/// [`all_traces_sequentially_consistent_reduced`] for the weak-transition
-/// scan). Both scans check trace-existence properties that conservative
-/// commutations preserve, so the Theorem 14 verdict matches
-/// [`check_global_drf`]'s while exploring a fraction of the traces.
+/// [`sc_race_freedom`] on [`Lane::Reduced`] from `m0`. Kept under this
+/// name only because `bdrstbench/tracer` calls it; new code passes the
+/// lane.
 ///
 /// # Errors
 ///
-/// As [`check_global_drf`].
-pub fn check_global_drf_reduced<E: Expr>(
+/// As [`sc_race_freedom`].
+pub fn sc_race_freedom_reduced<E: Expr>(
     locs: &LocSet,
-    m0: Machine<E>,
+    m0: crate::machine::Machine<E>,
     config: EngineConfig,
-) -> Result<DrfStatus, CheckError<GlobalDrfViolation>> {
-    let status = sc_race_freedom_reduced(locs, m0.clone(), config)?;
-    if let DrfStatus::RaceFree = status {
-        let mut v = WeakTraceVisitor { witness: None };
-        DporEngine::with_dependence(config, Dependence::Conservative)
-            .explore(locs, m0, &mut v)
-            .map_err(CheckError::from)?;
-        if let Some(weak_transition) = v.witness {
-            return Err(CheckError::Violation(GlobalDrfViolation {
-                weak_transition,
-            }));
-        }
-    }
-    Ok(status)
-}
-/// trace enumerations (the SC race scan and the weak-transition scan),
-/// which the plain checker runs as two live walks. This variant records
-/// the trace tree once ([`TraceEngine::record`]) and replays both scans
-/// against it, so the transition semantics runs exactly once for the two
-/// predicates — the cross-check caching the successor-graph work is
-/// about.
-///
-/// # Errors
-///
-/// As [`check_global_drf`], with one caveat: the *recording* enumerates
-/// the full (unfiltered) tree, so a budget that fits the SC-filtered scan
-/// but not the whole tree fails here where the plain checker would
-/// succeed. With the default budgets the verdicts coincide on every
-/// corpus and generated program (the differential suite checks).
-pub fn check_global_drf_cached<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-) -> Result<DrfStatus, CheckError<GlobalDrfViolation>> {
-    let (graph, _) = TraceEngine::new(config)
-        .record(locs, m0)
-        .map_err(CheckError::from)?;
-    let status = sc_race_freedom_replayed(locs, &graph, config)?;
-    if let DrfStatus::RaceFree = status {
-        let mut v = WeakTraceVisitor { witness: None };
-        graph.replay(config, &mut v).map_err(CheckError::from)?;
-        if let Some(weak_transition) = v.witness {
-            return Err(CheckError::Violation(GlobalDrfViolation {
-                weak_transition,
-            }));
-        }
-    }
-    Ok(status)
+) -> Result<DrfStatus, EngineError> {
+    sc_race_freedom(locs, Lane::Reduced(m0), config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{TraceEngine, TraceGraph};
     use crate::loc::{Loc, LocKind, Val};
-    use crate::machine::{RecordedExpr, StepLabel};
+    use crate::machine::{Machine, RecordedExpr, StepLabel};
 
     fn cfg() -> EngineConfig {
         EngineConfig::default()
@@ -918,6 +538,16 @@ mod tests {
         let b = l.fresh("b", LocKind::Nonatomic);
         let f = l.fresh("F", LocKind::Atomic);
         (l, a, b, f)
+    }
+
+    /// The three lanes over the same program: live, reduced, and a replay
+    /// of `graph` (a recording of `m0`).
+    fn lanes<'g, E: Expr>(m0: &Machine<E>, graph: &'g TraceGraph) -> [Lane<'g, E>; 3] {
+        [
+            Lane::Full(m0.clone()),
+            Lane::Reduced(m0.clone()),
+            Lane::Replay(graph),
+        ]
     }
 
     #[test]
@@ -933,7 +563,7 @@ mod tests {
         ]);
         let p1 = RecordedExpr::new(vec![StepLabel::Read(f)]);
         let m0 = Machine::initial(&locs, [p0, p1]);
-        let status = check_global_drf(&locs, m0, cfg()).unwrap();
+        let status = check_global_drf(&locs, Lane::Full(m0), cfg()).unwrap();
         assert_eq!(status, DrfStatus::RaceFree);
     }
 
@@ -943,7 +573,7 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1))]);
         let p1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
         let m0 = Machine::initial(&locs, [p0, p1]);
-        match sc_race_freedom(&locs, m0, cfg()).unwrap() {
+        match sc_race_freedom(&locs, Lane::Full(m0), cfg()).unwrap() {
             DrfStatus::Racy(w) => {
                 assert!(w.pair.0 < w.pair.1);
             }
@@ -957,7 +587,7 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(a)]);
         let p1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
         let m0 = Machine::initial(&locs, [p0, p1]);
-        assert!(!all_traces_sequentially_consistent(&locs, m0, cfg()).unwrap());
+        assert!(!all_traces_sequentially_consistent(&locs, Lane::Full(m0), cfg()).unwrap());
     }
 
     #[test]
@@ -969,7 +599,7 @@ mod tests {
         let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1)), StepLabel::Read(a)]);
         let m0 = Machine::initial(&locs, [p0, p1]);
         let l: LocPredicate = [a].into_iter().collect();
-        check_local_drf(&locs, m0, &l, cfg()).unwrap();
+        check_local_drf(&locs, Lane::Full(m0), &l, cfg()).unwrap();
     }
 
     #[test]
@@ -989,7 +619,7 @@ mod tests {
         ]);
         let m0 = Machine::initial(&locs, [p0, p1]);
         let l: LocPredicate = [a, b].into_iter().collect();
-        check_local_drf(&locs, m0, &l, cfg()).unwrap();
+        check_local_drf(&locs, Lane::Full(m0), &l, cfg()).unwrap();
     }
 
     #[test]
@@ -1000,7 +630,7 @@ mod tests {
         let m0 = Machine::initial(&locs, [p0, p1]);
         let l: LocPredicate = [a].into_iter().collect();
         // Empty prefix: nothing to race with.
-        assert!(is_l_stable_for_prefix(&locs, &[], m0, &l, cfg()).unwrap());
+        assert!(is_l_stable_for_prefix(&locs, &[], Lane::Full(m0), &l, cfg()).unwrap());
     }
 
     #[test]
@@ -1018,101 +648,96 @@ mod tests {
             .find(|t| t.label.thread.index() == 0)
             .unwrap();
         let l: LocPredicate = [a].into_iter().collect();
-        let stable = is_l_stable_for_prefix(&locs, &[t.label], t.target, &l, cfg()).unwrap();
+        let stable =
+            is_l_stable_for_prefix(&locs, &[t.label], Lane::Full(t.target), &l, cfg()).unwrap();
         assert!(!stable);
     }
 
-    #[test]
-    fn sharded_checkers_agree_with_sequential() {
-        let (locs, a, _b, f) = locs_abf();
-        // Race-free MP-style program.
-        let drf0 = RecordedExpr::new(vec![
-            StepLabel::Write(a, Val(1)),
-            StepLabel::Write(f, Val(1)),
-        ]);
-        let drf1 = RecordedExpr::new(vec![StepLabel::Read(f)]);
-        // Racy program.
-        let racy0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(a)]);
-        let racy1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
-        for m0 in [
-            Machine::initial(&locs, [drf0, drf1]),
-            Machine::initial(&locs, [racy0, racy1]),
-        ] {
-            let seq = sc_race_freedom(&locs, m0.clone(), cfg()).unwrap();
-            let shd = sc_race_freedom_sharded(&locs, m0.clone(), cfg(), 4).unwrap();
-            assert_eq!(
-                matches!(seq, DrfStatus::Racy(_)),
-                matches!(shd, DrfStatus::Racy(_))
-            );
-            assert_eq!(
-                all_traces_sequentially_consistent(&locs, m0.clone(), cfg()).unwrap(),
-                all_traces_sequentially_consistent_sharded(&locs, m0.clone(), cfg(), 4).unwrap()
-            );
-            let seq_g = check_global_drf(&locs, m0.clone(), cfg());
-            let shd_g = check_global_drf_sharded(&locs, m0, cfg(), 4);
-            assert_eq!(seq_g.is_ok(), shd_g.is_ok());
-        }
-    }
-
-    #[test]
-    fn sharded_local_drf_agrees_with_sequential() {
+    /// One race-free MP-style and one racy program, each paired with
+    /// the same `L = {a, b}`.
+    fn lane_agreement_programs() -> (LocSet, LocPredicate, [Machine<RecordedExpr>; 2]) {
         let (locs, a, b, f) = locs_abf();
-        let p0 = RecordedExpr::new(vec![
+        let drf0 = RecordedExpr::new(vec![
             StepLabel::Write(a, Val(1)),
             StepLabel::Write(f, Val(1)),
             StepLabel::Read(b),
         ]);
-        let p1 = RecordedExpr::new(vec![
+        let drf1 = RecordedExpr::new(vec![
             StepLabel::Read(f),
             StepLabel::Write(b, Val(1)),
             StepLabel::Read(a),
         ]);
-        let m0 = Machine::initial(&locs, [p0, p1]);
+        let racy0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(a)]);
+        let racy1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
         let l: LocPredicate = [a, b].into_iter().collect();
-        assert!(check_local_drf(&locs, m0.clone(), &l, cfg()).is_ok());
-        assert!(check_local_drf_sharded(&locs, m0.clone(), &l, cfg(), 4).is_ok());
-        assert_eq!(
-            is_l_stable_for_prefix(&locs, &[], m0.clone(), &l, cfg()).unwrap(),
-            is_l_stable_for_prefix_sharded(&locs, &[], m0, &l, cfg(), 4).unwrap()
-        );
+        let progs = [
+            Machine::initial(&locs, [drf0, drf1]),
+            Machine::initial(&locs, [racy0, racy1]),
+        ];
+        (locs, l, progs)
     }
 
     #[test]
-    fn sharded_budget_trips_mid_shard() {
-        // Budget large enough that every shard starts walking but the
-        // whole tree exceeds it: the shared counter must trip and surface
-        // the same CheckError::Engine(BudgetExceeded) as the sequential
-        // checker.
+    fn lanes_agree_on_race_and_sc_checkers() {
+        let (locs, _, progs) = lane_agreement_programs();
+        for m0 in progs {
+            let (graph, _) = TraceEngine::new(cfg()).record(&locs, m0.clone()).unwrap();
+            let full_racy = matches!(
+                sc_race_freedom(&locs, Lane::Full(m0.clone()), cfg()).unwrap(),
+                DrfStatus::Racy(_)
+            );
+            let full_sc =
+                all_traces_sequentially_consistent(&locs, Lane::Full(m0.clone()), cfg()).unwrap();
+            for lane in lanes(&m0, &graph) {
+                let racy = matches!(
+                    sc_race_freedom(&locs, lane.clone(), cfg()).unwrap(),
+                    DrfStatus::Racy(_)
+                );
+                assert_eq!(full_racy, racy);
+                assert_eq!(
+                    full_sc,
+                    all_traces_sequentially_consistent(&locs, lane.clone(), cfg()).unwrap()
+                );
+                let global = check_global_drf(&locs, lane, cfg()).unwrap();
+                assert_eq!(full_racy, matches!(global, DrfStatus::Racy(_)));
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_agree_on_local_drf() {
+        let (locs, l, progs) = lane_agreement_programs();
+        for m0 in progs {
+            let (graph, _) = TraceEngine::new(cfg()).record(&locs, m0.clone()).unwrap();
+            let full_stable =
+                is_l_stable_for_prefix(&locs, &[], Lane::Full(m0.clone()), &l, cfg()).unwrap();
+            for lane in lanes(&m0, &graph) {
+                assert_eq!(
+                    full_stable,
+                    is_l_stable_for_prefix(&locs, &[], lane.clone(), &l, cfg()).unwrap()
+                );
+                assert!(check_local_drf(&locs, lane, &l, cfg()).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn budget_trips_alike_on_every_lane() {
+        // Every lane counts extensions against the same budget and
+        // surfaces the same CheckError::Engine(BudgetExceeded).
         let (locs, a, _, _) = locs_abf();
-        let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 6]);
-        let m0 = Machine::initial(&locs, [mk(), mk(), mk()]);
+        let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 3]);
+        let m0 = Machine::initial(&locs, [mk(), mk()]);
         let tiny = EngineConfig {
             max_states: 50,
             max_traces: 50,
         };
         let l: LocPredicate = [a].into_iter().collect();
-        let seq = check_local_drf(&locs, m0.clone(), &l, tiny);
-        let shd = check_local_drf_sharded(&locs, m0.clone(), &l, tiny, 4);
-        for r in [seq, shd] {
-            match r {
+        let (graph, _) = TraceEngine::new(cfg()).record(&locs, m0.clone()).unwrap();
+        for lane in lanes(&m0, &graph) {
+            match check_local_drf(&locs, lane, &l, tiny) {
                 Err(CheckError::Engine(EngineError::BudgetExceeded { visited })) => {
                     assert_eq!(visited, tiny.max_traces + 1);
-                }
-                other => panic!("expected budget error, got {other:?}"),
-            }
-        }
-        // Same story for the SC race scan, on a conflict-free program so
-        // the race visitor never stops early.
-        let (locs2, a2, b2, _) = locs_abf();
-        let q0 = RecordedExpr::new(vec![StepLabel::Write(a2, Val(1)); 6]);
-        let q1 = RecordedExpr::new(vec![StepLabel::Write(b2, Val(1)); 6]);
-        let free = Machine::initial(&locs2, [q0, q1]);
-        let seq_sc = sc_race_freedom(&locs2, free.clone(), tiny);
-        let shd_sc = sc_race_freedom_sharded(&locs2, free, tiny, 4);
-        for r in [seq_sc, shd_sc] {
-            match r {
-                Err(EngineError::BudgetExceeded { visited }) => {
-                    assert_eq!(visited, tiny.max_traces + 1)
                 }
                 other => panic!("expected budget error, got {other:?}"),
             }
@@ -1121,7 +746,7 @@ mod tests {
 
     /// An [`Expr`] wrapper that counts every transition-semantics probe
     /// (`steps()` calls): the instrument behind the no-re-execution
-    /// guarantees of the `*_replayed` checkers.
+    /// guarantee of [`Lane::Replay`].
     #[derive(Clone, PartialEq, Eq, Hash, Debug)]
     struct CountedExpr(RecordedExpr);
 
@@ -1166,22 +791,25 @@ mod tests {
             let plain = Machine::initial(&locs, prog);
 
             // Live verdicts (sequential oracles).
-            let live_sc = sc_race_freedom(&locs, plain.clone(), cfg()).unwrap();
+            let live_sc = sc_race_freedom(&locs, Lane::Full(plain.clone()), cfg()).unwrap();
             let live_all_sc =
-                all_traces_sequentially_consistent(&locs, plain.clone(), cfg()).unwrap();
-            let live_drf = check_local_drf(&locs, plain.clone(), &l, cfg());
-            let live_stable = is_l_stable_for_prefix(&locs, &[], plain.clone(), &l, cfg()).unwrap();
-            let live_global = check_global_drf(&locs, plain, cfg());
+                all_traces_sequentially_consistent(&locs, Lane::Full(plain.clone()), cfg())
+                    .unwrap();
+            let live_drf = check_local_drf(&locs, Lane::Full(plain.clone()), &l, cfg());
+            let live_stable =
+                is_l_stable_for_prefix(&locs, &[], Lane::Full(plain.clone()), &l, cfg()).unwrap();
+            let live_global = check_global_drf(&locs, Lane::Full(plain), cfg());
 
             // Record once — this is the only place the semantics runs.
             let (graph, _) = TraceEngine::new(cfg()).record(&locs, counted).unwrap();
             let before = STEP_PROBES.load(std::sync::atomic::Ordering::Relaxed);
 
-            let rep_sc = sc_race_freedom_replayed(&locs, &graph, cfg()).unwrap();
-            let rep_all_sc = all_traces_sequentially_consistent_replayed(&graph, cfg()).unwrap();
-            let rep_drf = check_local_drf_replayed(&locs, &graph, &l, cfg());
-            let rep_stable =
-                is_l_stable_for_prefix_replayed(&locs, &[], &graph, &l, cfg()).unwrap();
+            let replay = || Lane::<CountedExpr>::Replay(&graph);
+            let rep_sc = sc_race_freedom(&locs, replay(), cfg()).unwrap();
+            let rep_all_sc = all_traces_sequentially_consistent(&locs, replay(), cfg()).unwrap();
+            let rep_drf = check_local_drf(&locs, replay(), &l, cfg());
+            let rep_stable = is_l_stable_for_prefix(&locs, &[], replay(), &l, cfg()).unwrap();
+            let rep_global = check_global_drf(&locs, replay(), cfg());
 
             // The replays must not have probed the semantics at all.
             let after = STEP_PROBES.load(std::sync::atomic::Ordering::Relaxed);
@@ -1191,6 +819,7 @@ mod tests {
             assert_eq!(live_all_sc, rep_all_sc);
             assert_eq!(live_drf.is_ok(), rep_drf.is_ok());
             assert_eq!(live_stable, rep_stable);
+            assert_eq!(live_global, rep_global);
             // Theorem 14 holds live, so the replayed scans must be
             // consistent with it: racy, or all traces SC.
             assert!(live_global.is_ok());
@@ -1212,8 +841,9 @@ mod tests {
             Machine::initial(&locs, [drf0, drf1]),
             Machine::initial(&locs, [racy0, racy1]),
         ] {
-            let live = check_global_drf(&locs, m0.clone(), cfg());
-            let cached = check_global_drf_cached(&locs, m0, cfg());
+            let live = check_global_drf(&locs, Lane::Full(m0.clone()), cfg());
+            let (graph, _) = TraceEngine::new(cfg()).record(&locs, m0).unwrap();
+            let cached = check_global_drf(&locs, Lane::<RecordedExpr>::Replay(&graph), cfg());
             match (&live, &cached) {
                 (Ok(a), Ok(b)) => assert_eq!(
                     matches!(a, DrfStatus::Racy(_)),
@@ -1234,7 +864,7 @@ mod tests {
             max_traces: 4,
         };
         let l: LocPredicate = [a].into_iter().collect();
-        match check_local_drf(&locs, m0, &l, tiny) {
+        match check_local_drf(&locs, Lane::Full(m0), &l, tiny) {
             Err(CheckError::Engine(EngineError::BudgetExceeded { .. })) => {}
             other => panic!("expected budget error, got {other:?}"),
         }

@@ -117,7 +117,7 @@ impl Program {
     }
 
     /// [`Program::outcomes`] under an explicit engine [`Strategy`]
-    /// (DFS / BFS / parallel frontier expansion). All strategies produce
+    /// (DFS / BFS / work-stealing / DPOR). All strategies produce
     /// the same observation set.
     ///
     /// # Errors
@@ -153,10 +153,8 @@ impl Program {
 
     /// [`Program::state_graph`] under an explicit engine [`Strategy`].
     /// `Dfs`/`Bfs` record through the sequential worklist;
-    /// `WorkStealing` records through the work-stealing pool.
-    /// `Parallel` has no graph recorder (the level-synchronous engine
-    /// does not track edges) and falls back to work-stealing — same
-    /// graph, same parallelism class. All strategies record the same
+    /// `WorkStealing` records through the work-stealing pool. All
+    /// strategies record the same
     /// canonical state set (the engines guarantee it); only id order
     /// may differ.
     ///
@@ -179,7 +177,7 @@ impl Program {
             Strategy::Bfs => {
                 WorklistEngine::new(config, SearchOrder::Bfs).explore_graph(&self.locs, m0)
             }
-            Strategy::Parallel | Strategy::WorkStealing => {
+            Strategy::WorkStealing => {
                 bdrst_core::engine::WorkStealingEngine::new(config).explore_graph(&self.locs, m0)
             }
         }

@@ -9,7 +9,7 @@
 //! hardware models.
 //!
 //! [`runner::RunConfig::strategy`] selects the exploration engine
-//! (DFS / BFS / parallel frontier expansion), and the batched sweep entry
+//! (DFS / BFS / work-stealing / DPOR), and the batched sweep entry
 //! points [`runner::run_corpus`] / [`runner::run_corpus_sharded`] run the
 //! whole corpus — the sharded variant distributes tests across the core
 //! engine's work-claiming parallel map.

@@ -10,17 +10,16 @@
 //! release clock accumulating every writer's clock (Definition 8's
 //! `write → read/write` edge).
 //!
-//! The same detector state drives three consumption modes:
+//! The same detector state drives two consumption modes:
 //!
-//! * **live** ([`detect_races`]) — as a
-//!   [`TraceVisitor`] riding [`TraceEngine::explore`]'s depth-first
-//!   walk. Backtracking is handled by an undo stack: every applied event
+//! * **walked** ([`detect_races`]) — as a [`TraceVisitor`] and
+//!   [`ReplayVisitor`] riding any [`Lane`]: the full live walk, the
+//!   partial-order-reduced walk, or a replay of a recorded
+//!   [`bdrst_core::engine::TraceGraph`], which runs **zero**
+//!   transition-semantics steps (the probe-counting suites assert this).
+//!   Backtracking is handled by an undo stack: every applied event
 //!   records what it overwrote, and the detector re-synchronises to the
-//!   engine's current prefix before each extension.
-//! * **offline** ([`detect_races_replayed`]) — as a [`ReplayVisitor`]
-//!   over a recorded [`TraceGraph`]: verdicts consume labels only, so a
-//!   replayed detection runs **zero** transition-semantics steps (the
-//!   probe-counting suites assert this).
+//!   walk's current prefix, by trace length alone, before each extension.
 //! * **linear** ([`RaceDetector::run_linear`]) — over one fixed label
 //!   sequence, which is what the ddmin shrinker re-runs per candidate.
 //!
@@ -33,11 +32,10 @@
 use std::collections::BTreeSet;
 
 use bdrst_core::engine::{
-    Control, Dependence, DporEngine, EngineConfig, EngineError, ExploreStats, ReplayStep,
-    ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
+    Control, EngineConfig, EngineError, ExploreStats, Lane, ReplayStep, ReplayVisitor, TraceVisitor,
 };
 use bdrst_core::loc::{Loc, LocKind, LocSet};
-use bdrst_core::machine::{Expr, Machine, ThreadId, Transition, TransitionLabel};
+use bdrst_core::machine::{Expr, ThreadId, Transition, TransitionLabel};
 use bdrst_core::trace::TraceLabels;
 
 use crate::clock::{Access, VectorClock};
@@ -134,9 +132,9 @@ impl RaceReport {
 }
 
 /// The streaming detector. See the module docs; construct with
-/// [`RaceDetector::new`], drive it as a visitor (or via the
-/// [`detect_races`] / [`detect_races_replayed`] entry points), then take
-/// the report with [`RaceDetector::into_report`].
+/// [`RaceDetector::new`], drive it as a visitor (or via
+/// [`detect_races`]), then take the report with
+/// [`RaceDetector::into_report`].
 pub struct RaceDetector<'a> {
     locs: &'a LocSet,
     config: DetectorConfig,
@@ -378,79 +376,59 @@ impl ReplayVisitor for RaceDetector<'_> {
     }
 }
 
-/// Live detection: walks every (by default SC) trace of `m0` with the
-/// trace engine, streaming each into the detector.
+/// Detection over `lane`: walks every (by default SC) trace, streaming
+/// each into the detector.
+///
+/// [`Lane::Full`] and [`Lane::Replay`] report identical witnesses (the
+/// replay reproduces the live walk's order, filter and budget semantics).
+/// [`Lane::Reduced`] streams one representative trace per equivalence
+/// class: conservative commutations preserve labels and happens-before,
+/// so a race in any trace appears in its representative and the
+/// `racy()` polarity matches exactly. Its witness *set* may be smaller —
+/// a pruned sibling order can surface a different thread pair first — so
+/// reduced reports are compared by polarity, not witness-for-witness.
 ///
 /// # Errors
 ///
 /// [`EngineError`] on budget exhaustion or a corrupted machine.
 pub fn detect_races<E: Expr>(
     locs: &LocSet,
-    m0: Machine<E>,
+    lane: Lane<'_, E>,
     engine: EngineConfig,
     config: DetectorConfig,
 ) -> Result<RaceReport, EngineError> {
-    let mut span = bdrst_obs::span(bdrst_obs::Phase::RaceLive);
+    let replay = matches!(lane, Lane::Replay(_));
+    let (phase, counter) = if replay {
+        (
+            bdrst_obs::Phase::RaceReplay,
+            bdrst_obs::Counter::RaceEventsReplayed,
+        )
+    } else {
+        (
+            bdrst_obs::Phase::RaceLive,
+            bdrst_obs::Counter::RaceEventsLive,
+        )
+    };
+    let mut span = bdrst_obs::span(phase);
     let mut d = RaceDetector::new(locs, config);
-    let stats = TraceEngine::new(engine).explore(locs, m0, &mut d)?;
-    bdrst_obs::counter_add(bdrst_obs::Counter::RaceEventsLive, d.events());
+    let stats = lane.walk(locs, engine, &mut d)?;
+    bdrst_obs::counter_add(counter, d.events());
     span.set_arg(d.events());
     Ok(d.into_report(stats))
 }
 
-/// Live detection over the partial-order-reduced trace tree
-/// ([`DporEngine`] under [`Dependence::Conservative`]): streams one
-/// representative trace per equivalence class into the detector instead
-/// of every interleaving.
-///
-/// Conservative commutations preserve labels and happens-before, so a
-/// race in any explored-class trace appears in its representative: the
-/// `racy()` polarity matches [`detect_races`] exactly (the differential
-/// suites assert this corpus-wide). Witness *sets* may be smaller — a
-/// pruned sibling order can surface a different thread pair first — so
-/// reduced reports are compared by polarity, not witness-for-witness.
-/// The detector's undo stack re-synchronises on trace length alone,
-/// which the reduced walk maintains exactly like the full one.
+/// [`detect_races`] on [`Lane::Replay`] of `graph`. Kept under this name
+/// only because `bdrstbench/tracer` calls it; new code passes the lane.
 ///
 /// # Errors
 ///
 /// As [`detect_races`].
-pub fn detect_races_reduced<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    engine: EngineConfig,
-    config: DetectorConfig,
-) -> Result<RaceReport, EngineError> {
-    let mut span = bdrst_obs::span(bdrst_obs::Phase::RaceLive);
-    let mut d = RaceDetector::new(locs, config);
-    let dstats =
-        DporEngine::with_dependence(engine, Dependence::Conservative).explore(locs, m0, &mut d)?;
-    bdrst_obs::counter_add(bdrst_obs::Counter::RaceEventsLive, d.events());
-    span.set_arg(d.events());
-    Ok(d.into_report(ExploreStats {
-        visited: dstats.visited,
-        transitions: dstats.transitions,
-    }))
-}
-
-/// Offline detection over a recorded [`TraceGraph`]: identical verdicts
-/// to [`detect_races`] (the replay reproduces the live walk's order,
-/// filter and budget semantics) with **zero** transition-semantics
-/// steps.
-///
-/// # Errors
-///
-/// As [`detect_races`] (replay mirrors the live budget).
 pub fn detect_races_replayed(
     locs: &LocSet,
-    graph: &TraceGraph,
+    graph: &bdrst_core::engine::TraceGraph,
     engine: EngineConfig,
     config: DetectorConfig,
 ) -> Result<RaceReport, EngineError> {
-    let mut span = bdrst_obs::span(bdrst_obs::Phase::RaceReplay);
-    let mut d = RaceDetector::new(locs, config);
-    let stats = graph.replay(engine, &mut d)?;
-    bdrst_obs::counter_add(bdrst_obs::Counter::RaceEventsReplayed, d.events());
-    span.set_arg(d.events());
-    Ok(d.into_report(stats))
+    let lane = Lane::<bdrst_core::machine::RecordedExpr>::Replay(graph);
+    detect_races(locs, lane, engine, config)
 }

@@ -8,12 +8,10 @@
 //! * **[`detect`]** — the streaming [`detect::RaceDetector`]:
 //!   FastTrack-style per-thread vector clocks with epoch compression
 //!   ([`clock`]) over the model's happens-before (Definition 8 — atomic
-//!   writes release, atomic accesses acquire). It rides the existing
-//!   engines both **live** (as a `TraceVisitor` on
-//!   [`bdrst_core::engine::TraceEngine`]) and **offline** (as a
-//!   `ReplayVisitor` over a recorded
-//!   [`bdrst_core::engine::TraceGraph`], running zero
-//!   transition-semantics steps).
+//!   writes release, atomic accesses acquire). [`detect_races`] rides
+//!   any [`bdrst_core::engine::Lane`]: live, partial-order reduced, or
+//!   **offline** over a recorded [`bdrst_core::engine::TraceGraph`],
+//!   running zero transition-semantics steps.
 //! * **[`witness`]** — every racy pair becomes a structured
 //!   [`witness::RaceWitness`]: the two conflicting accesses, the
 //!   trace-index window between them (the *time* bound) and the set of
@@ -31,15 +29,17 @@
 //! ## Example: a store-buffering race and its bounds
 //!
 //! ```
+//! use bdrst_core::engine::Lane;
 //! use bdrst_lang::Program;
-//! use bdrst_race::{detect_races_program, DetectorConfig};
+//! use bdrst_race::{detect_races, DetectorConfig};
 //!
 //! let p = Program::parse(
 //!     "nonatomic a b;
 //!      thread P0 { a = 1; r0 = b; }
 //!      thread P1 { b = 1; r1 = a; }",
 //! ).unwrap();
-//! let report = detect_races_program(&p, Default::default(), DetectorConfig::default()).unwrap();
+//! let lane = Lane::Full(p.initial_machine());
+//! let report = detect_races(&p.locs, lane, Default::default(), DetectorConfig::default()).unwrap();
 //! assert!(report.racy());
 //! let w = &report.witnesses[0];
 //! assert!(w.validate(&p.locs));
@@ -53,41 +53,6 @@ pub mod shrink;
 pub mod witness;
 
 pub use clock::{Access, VectorClock};
-pub use detect::{
-    detect_races, detect_races_reduced, detect_races_replayed, DetectorConfig, RaceDetector,
-    RaceReport,
-};
+pub use detect::{detect_races, detect_races_replayed, DetectorConfig, RaceDetector, RaceReport};
 pub use shrink::{ddmin, run_schedule, shrink_witness, ShrunkRace};
 pub use witness::RaceWitness;
-
-use bdrst_core::engine::{EngineConfig, EngineError};
-use bdrst_lang::Program;
-
-/// Live detection over a parsed litmus program (the shape the CLI and
-/// the check service consume).
-///
-/// # Errors
-///
-/// As [`detect_races`].
-pub fn detect_races_program(
-    program: &Program,
-    engine: EngineConfig,
-    config: DetectorConfig,
-) -> Result<RaceReport, EngineError> {
-    detect_races(&program.locs, program.initial_machine(), engine, config)
-}
-
-/// [`detect_races_program`] over the partial-order-reduced trace tree
-/// ([`detect::detect_races_reduced`]): identical `racy()` polarity in a
-/// fraction of the traces.
-///
-/// # Errors
-///
-/// As [`detect_races_reduced`].
-pub fn detect_races_reduced_program(
-    program: &Program,
-    engine: EngineConfig,
-    config: DetectorConfig,
-) -> Result<RaceReport, EngineError> {
-    detect_races_reduced(&program.locs, program.initial_machine(), engine, config)
-}

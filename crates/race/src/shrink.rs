@@ -17,7 +17,7 @@
 //! program — [`RaceWitness::validate`] is asserted on everything
 //! returned.
 
-use bdrst_core::engine::{EngineConfig, EngineError};
+use bdrst_core::engine::{EngineConfig, EngineError, Lane};
 use bdrst_core::loc::{Loc, LocSet};
 use bdrst_core::machine::{Expr, Machine, ThreadId, TransitionLabel};
 use bdrst_lang::Program;
@@ -152,7 +152,7 @@ pub fn shrink_witness(
         p
     };
     let races = |p: &Program| -> bool {
-        detect_races(&p.locs, p.initial_machine(), engine, config)
+        detect_races(&p.locs, Lane::Full(p.initial_machine()), engine, config)
             .map(|rep| rep.witnesses.iter().any(|w| same_race(w, loc, threads)))
             .unwrap_or(false)
     };
@@ -161,7 +161,12 @@ pub fn shrink_witness(
         // The witness was found under a different configuration than the
         // shrink is running with; re-detect to fail loudly rather than
         // ddmin from a failing base.
-        detect_races(&program.locs, program.initial_machine(), engine, config)?;
+        detect_races(
+            &program.locs,
+            Lane::Full(program.initial_machine()),
+            engine,
+            config,
+        )?;
         return Ok(ShrunkRace {
             program: program.clone(),
             witness: witness.clone(),
@@ -169,7 +174,12 @@ pub fn shrink_witness(
     }
     let kept = ddmin(&coords, |cand| races(&rebuild(cand)));
     let shrunk = rebuild(&kept);
-    let report = detect_races(&shrunk.locs, shrunk.initial_machine(), engine, config)?;
+    let report = detect_races(
+        &shrunk.locs,
+        Lane::Full(shrunk.initial_machine()),
+        engine,
+        config,
+    )?;
     let base = report
         .witnesses
         .into_iter()

@@ -2,11 +2,11 @@
 //! DRF checkers, live/replayed equivalence, witness bound validity, and
 //! the ddmin shrinker.
 
-use bdrst_core::engine::{EngineConfig, TraceEngine};
+use bdrst_core::engine::{EngineConfig, Lane, TraceEngine};
 use bdrst_core::localdrf::{sc_race_freedom, DrfStatus};
-use bdrst_lang::Program;
+use bdrst_lang::{Program, ThreadState};
 use bdrst_litmus::all_tests;
-use bdrst_race::{detect_races_program, detect_races_replayed, shrink_witness, DetectorConfig};
+use bdrst_race::{detect_races, shrink_witness, DetectorConfig};
 
 fn cfg() -> EngineConfig {
     EngineConfig::default()
@@ -23,7 +23,13 @@ const MP_AT: &str = "nonatomic a; atomic f;
 #[test]
 fn sb_races_with_valid_bounds() {
     let p = Program::parse(SB).unwrap();
-    let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+    let report = detect_races(
+        &p.locs,
+        Lane::Full(p.initial_machine()),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap();
     assert!(report.racy());
     assert!(report.events > 0);
     for w in &report.witnesses {
@@ -38,7 +44,13 @@ fn sb_races_with_valid_bounds() {
 #[test]
 fn guarded_message_passing_is_race_free() {
     let p = Program::parse(MP_AT).unwrap();
-    let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+    let report = detect_races(
+        &p.locs,
+        Lane::Full(p.initial_machine()),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap();
     assert!(
         !report.racy(),
         "unexpected witnesses: {:?}",
@@ -56,7 +68,13 @@ fn unguarded_reader_races_through_the_flag() {
          thread P1 { r0 = f; r1 = a; }",
     )
     .unwrap();
-    let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+    let report = detect_races(
+        &p.locs,
+        Lane::Full(p.initial_machine()),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap();
     assert!(report.racy());
     // Every witness must name the nonatomic location, never the atomic.
     for w in &report.witnesses {
@@ -70,10 +88,16 @@ fn detector_agrees_with_sc_race_freedom_on_the_corpus() {
     for t in all_tests() {
         let p = Program::parse(t.source).unwrap();
         let oracle = matches!(
-            sc_race_freedom(&p.locs, p.initial_machine(), cfg()).unwrap(),
+            sc_race_freedom(&p.locs, Lane::Full(p.initial_machine()), cfg()).unwrap(),
             DrfStatus::Racy(_)
         );
-        let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+        let report = detect_races(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            cfg(),
+            DetectorConfig::default(),
+        )
+        .unwrap();
         assert_eq!(
             report.racy(),
             oracle,
@@ -92,11 +116,23 @@ fn detector_agrees_with_sc_race_freedom_on_the_corpus() {
 fn replayed_detection_matches_live_on_the_corpus() {
     for t in all_tests() {
         let p = Program::parse(t.source).unwrap();
-        let live = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+        let live = detect_races(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            cfg(),
+            DetectorConfig::default(),
+        )
+        .unwrap();
         let (graph, _) = TraceEngine::new(cfg())
             .record(&p.locs, p.initial_machine())
             .unwrap();
-        let rep = detect_races_replayed(&p.locs, &graph, cfg(), DetectorConfig::default()).unwrap();
+        let rep = detect_races(
+            &p.locs,
+            Lane::<ThreadState>::Replay(&graph),
+            cfg(),
+            DetectorConfig::default(),
+        )
+        .unwrap();
         assert_eq!(live.racy(), rep.racy(), "{}: verdicts diverge", t.name);
         assert_eq!(live.events, rep.events, "{}: event counts diverge", t.name);
         assert_eq!(
@@ -114,9 +150,15 @@ fn witness_cap_stops_collection() {
         max_witnesses: 1,
         ..DetectorConfig::default()
     };
-    let report = detect_races_program(&p, cfg(), capped).unwrap();
+    let report = detect_races(&p.locs, Lane::Full(p.initial_machine()), cfg(), capped).unwrap();
     assert_eq!(report.witnesses.len(), 1);
-    let full = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+    let full = detect_races(
+        &p.locs,
+        Lane::Full(p.initial_machine()),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap();
     assert!(full.witnesses.len() >= report.witnesses.len());
 }
 
@@ -135,7 +177,13 @@ fn budget_exhaustion_surfaces_as_engine_error() {
          thread P1 { b = 1; b = 1; b = 1; }",
     )
     .unwrap();
-    let err = detect_races_program(&free, tiny, DetectorConfig::default()).unwrap_err();
+    let err = detect_races(
+        &free.locs,
+        Lane::Full(free.initial_machine()),
+        tiny,
+        DetectorConfig::default(),
+    )
+    .unwrap_err();
     assert!(err.is_budget(), "{err:?}");
     let _ = p;
 }
@@ -143,7 +191,13 @@ fn budget_exhaustion_surfaces_as_engine_error() {
 #[test]
 fn shrinker_reduces_sb_to_the_racing_pair() {
     let p = Program::parse(SB).unwrap();
-    let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+    let report = detect_races(
+        &p.locs,
+        Lane::Full(p.initial_machine()),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap();
     let w = report.witnesses[0].clone();
     let shrunk = shrink_witness(&p, &w, cfg(), DetectorConfig::default()).unwrap();
     // Four statements shrink to the two that race.
@@ -172,7 +226,13 @@ fn shrinker_preserves_synchronisation_when_needed() {
          thread P1 { r0 = f; r1 = a; }",
     )
     .unwrap();
-    let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+    let report = detect_races(
+        &p.locs,
+        Lane::Full(p.initial_machine()),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap();
     let w = report.witnesses[0].clone();
     let shrunk = shrink_witness(&p, &w, cfg(), DetectorConfig::default()).unwrap();
     let stmts: usize = shrunk.program.threads.iter().map(|t| t.body.len()).sum();
@@ -186,9 +246,16 @@ fn detection_with_weak_traces_finds_at_least_sc_races() {
     // programs must stay racy, and witnesses must still validate.
     for src in [SB, MP_AT] {
         let p = Program::parse(src).unwrap();
-        let sc = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
-        let all = detect_races_program(
-            &p,
+        let sc = detect_races(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            cfg(),
+            DetectorConfig::default(),
+        )
+        .unwrap();
+        let all = detect_races(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
             cfg(),
             DetectorConfig {
                 sc_only: false,

@@ -53,7 +53,7 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::server::{
     error_response, rate_limited_response, shutting_down_response, ConnGuard, Job, JobQueue,
-    ReqMeta, ServeConfig, Sink, TokenBucket, TraceLog, TryPushError,
+    ReqMeta, ServeConfig, TokenBucket, TraceLog, TryPushError,
 };
 
 /// Upper bound on an idle park: with a live wakeup pipe the park ends
@@ -727,7 +727,7 @@ impl Reactor {
             let outbox = Arc::clone(&conn.outbox);
             self.conns[i]
                 .pending
-                .push_back(Job::new(line.to_string(), Sink::Outbox(outbox)));
+                .push_back(Job::new(line.to_string(), outbox));
             self.submit_pending(i);
         }
     }

@@ -16,14 +16,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use bdrst_core::engine::{EngineConfig, TraceEngine, TraceGraph};
-use bdrst_core::localdrf::{
-    check_local_drf, check_local_drf_replayed, sc_race_freedom_reduced, CheckError, DrfStatus,
-};
+use bdrst_core::engine::{EngineConfig, Lane, TraceEngine, TraceGraph};
+use bdrst_core::localdrf::{check_local_drf, sc_race_freedom, CheckError, DrfStatus};
 use bdrst_core::trace::LocPredicate;
-use bdrst_lang::Program;
+use bdrst_lang::{Program, ThreadState};
 use bdrst_litmus::{report_from_outcomes, LitmusTest, RunConfig, RunError, TestReport};
-use bdrst_race::{detect_races_program, detect_races_replayed, DetectorConfig, RaceReport};
+use bdrst_race::{detect_races, DetectorConfig, RaceReport};
 
 use crate::store::{version_tag, CacheEntry, CacheStats, ResultStore};
 
@@ -166,7 +164,7 @@ impl CheckService {
     /// its cache entry and re-persisted on first computation.
     ///
     /// Cache misses run the *partial-order-reduced* SC race scan
-    /// ([`sc_race_freedom_reduced`]): the memoized value is a pure
+    /// ([`sc_race_freedom`] on [`Lane::Reduced`]): the memoized value is a pure
     /// classification, which the reduced walk computes identically to
     /// the full enumeration (the differential suites assert this) in a
     /// fraction of the traces. Queries that need a concrete witness
@@ -179,9 +177,9 @@ impl CheckService {
         if let Some(v) = checked.entry.global_racefree.get() {
             return Ok(*v);
         }
-        let status = sc_race_freedom_reduced(
+        let status = sc_race_freedom(
             &checked.program.locs,
-            checked.program.initial_machine(),
+            Lane::Reduced(checked.program.initial_machine()),
             self.engine_config(),
         )
         .map_err(RunError::Operational)?;
@@ -262,17 +260,8 @@ impl CheckService {
                 l.insert(loc);
             }
         }
-        let result = match self.trace_graph(checked) {
-            Ok(graph) => check_local_drf_replayed(&program.locs, graph, &l, self.engine_config()),
-            Err(e) if e.is_budget() => check_local_drf(
-                &program.locs,
-                program.initial_machine(),
-                &l,
-                self.engine_config(),
-            ),
-            Err(e) => return Err(e),
-        };
-        match result {
+        let lane = self.trace_lane(checked)?;
+        match check_local_drf(&program.locs, lane, &l, self.engine_config()) {
             Ok(_) => Ok(true),
             Err(CheckError::Violation(_)) => Ok(false),
             Err(CheckError::Engine(e)) => Err(RunError::Operational(e)),
@@ -289,16 +278,24 @@ impl CheckService {
     ///
     /// [`RunError::Operational`] on budget exhaustion.
     pub fn check_races(&self, checked: &Checked) -> Result<RaceReport, RunError> {
-        let config = DetectorConfig::default();
+        let lane = self.trace_lane(checked)?;
+        detect_races(
+            &checked.program.locs,
+            lane,
+            self.engine_config(),
+            DetectorConfig::default(),
+        )
+        .map_err(RunError::Operational)
+    }
+
+    /// The walk of a trace-dependent query: a replay of the cached trace
+    /// tree ([`CheckService::trace_graph`]), or a live walk when
+    /// recording the full tree exceeds the trace budget (a filtered walk
+    /// may still fit it).
+    fn trace_lane<'e>(&self, checked: &'e Checked) -> Result<Lane<'e, ThreadState>, RunError> {
         match self.trace_graph(checked) {
-            Ok(graph) => {
-                detect_races_replayed(&checked.program.locs, graph, self.engine_config(), config)
-                    .map_err(RunError::Operational)
-            }
-            Err(e) if e.is_budget() => {
-                detect_races_program(&checked.program, self.engine_config(), config)
-                    .map_err(RunError::Operational)
-            }
+            Ok(graph) => Ok(Lane::Replay(graph)),
+            Err(e) if e.is_budget() => Ok(Lane::Full(checked.program.initial_machine())),
             Err(e) => Err(e),
         }
     }

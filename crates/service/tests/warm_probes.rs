@@ -1,5 +1,5 @@
 //! The acceptance bar of the result store, asserted the same way the
-//! `*_replayed` checker suites prove replays are semantics-free: count
+//! replay-lane checker suites prove replays are semantics-free: count
 //! transition-semantics probes ([`bdrst_core::machine::semantics_probes`])
 //! around the warm pass and demand the counter does not move.
 //!

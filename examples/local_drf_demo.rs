@@ -3,6 +3,7 @@
 //!
 //! Run with `cargo run --example local_drf_demo`.
 
+use bdrst::core::engine::Lane;
 use bdrst::core::explore::ExploreConfig;
 use bdrst::core::localdrf::{check_local_drf, is_l_stable_for_prefix};
 use bdrst::core::trace::LocPredicate;
@@ -30,13 +31,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(is_l_stable_for_prefix(
         &ex1.locs,
         &[],
-        ex1.initial_machine(),
+        Lane::Full(ex1.initial_machine()),
         &l,
         Default::default()
     )?);
     // …so Theorem 13 guarantees L-sequential behaviour:
-    let stats = check_local_drf(&ex1.locs, ex1.initial_machine(), &l, Default::default())
-        .map_err(|e| format!("{e}"))?;
+    let stats = check_local_drf(
+        &ex1.locs,
+        Lane::Full(ex1.initial_machine()),
+        &l,
+        Default::default(),
+    )
+    .map_err(|e| format!("{e}"))?;
     println!(
         "Theorem 13 verified for L = {{a, b}} over {} L-sequential prefixes",
         stats.visited

@@ -1,30 +1,23 @@
 //! The partial-order-reduction acceptance gate: on every corpus program
 //! with more than one thread, the DPOR lane must explore *strictly fewer*
 //! complete traces than the full enumeration while reproducing the exact
-//! outcome set, and the reduced checker variants must reproduce the full
-//! checkers' verdicts. Random programs extend the corpus sweep through
-//! the vendored proptest stub.
+//! outcome set, and every trace checker must reach the full walk's
+//! verdicts on the reduced and replayed lanes. Random programs extend
+//! the corpus sweep through the vendored proptest stub.
 
 use proptest::prelude::*;
 
 mod common;
-use common::small_program;
+use common::{assert_every_lane_agrees, small_program};
 
 use bdrst::core::engine::{
-    dpor_reachable_terminals, full_complete_traces, Dependence, EngineConfig,
+    dpor_reachable_terminals, full_complete_traces, Dependence, EngineConfig, Lane,
     Strategy as EngineStrategy,
 };
 use bdrst::core::explore::ExploreConfig;
-use bdrst::core::loc::LocKind;
-use bdrst::core::localdrf::{
-    all_traces_sequentially_consistent, all_traces_sequentially_consistent_reduced,
-    check_global_drf, check_global_drf_reduced, check_local_drf, check_local_drf_reduced,
-    sc_race_freedom, sc_race_freedom_reduced, DrfStatus,
-};
-use bdrst::core::trace::LocPredicate;
 use bdrst::lang::Program;
 use bdrst::litmus::all_tests;
-use bdrst::race::{detect_races_program, detect_races_reduced_program, DetectorConfig};
+use bdrst::race::{detect_races, DetectorConfig};
 use std::collections::BTreeSet;
 
 /// Outcome set of `p` through the full DFS engine.
@@ -85,63 +78,13 @@ fn corpus_dpor_outcome_sets_match_full_enumeration() {
     }
 }
 
-/// `L` = every nonatomic location: the instance Theorem 14's proof uses.
-fn all_nonatomics(p: &Program) -> LocPredicate {
-    p.locs
-        .iter()
-        .filter(|&l| p.locs.kind(l) == LocKind::Nonatomic)
-        .collect()
-}
-
+/// Every trace checker reaches the full walk's verdict on the reduced
+/// and the replayed lane, corpus-wide.
 #[test]
 fn corpus_reduced_checkers_match_full_verdicts() {
     for t in all_tests() {
         let p = Program::parse(t.source).expect("corpus programs parse");
-        let cfg = EngineConfig::default();
-
-        // SC race freedom: polarity must match (witnesses may differ —
-        // the reduced walk races first on a different representative).
-        let full = sc_race_freedom(&p.locs, p.initial_machine(), cfg).unwrap();
-        let reduced = sc_race_freedom_reduced(&p.locs, p.initial_machine(), cfg).unwrap();
-        assert_eq!(
-            matches!(full, DrfStatus::Racy(_)),
-            matches!(reduced, DrfStatus::Racy(_)),
-            "sc_race_freedom polarity diverges on {}",
-            t.name
-        );
-
-        // Weak-trace scan: exact boolean agreement.
-        assert_eq!(
-            all_traces_sequentially_consistent(&p.locs, p.initial_machine(), cfg).unwrap(),
-            all_traces_sequentially_consistent_reduced(&p.locs, p.initial_machine(), cfg).unwrap(),
-            "all-traces-SC verdict diverges on {}",
-            t.name
-        );
-
-        // Theorem 14: both succeed (it holds for the paper semantics)
-        // with the same classification.
-        let full_g = check_global_drf(&p.locs, p.initial_machine(), cfg).unwrap();
-        let reduced_g = check_global_drf_reduced(&p.locs, p.initial_machine(), cfg).unwrap();
-        assert_eq!(
-            matches!(full_g, DrfStatus::Racy(_)),
-            matches!(reduced_g, DrfStatus::Racy(_)),
-            "global DRF classification diverges on {}",
-            t.name
-        );
-
-        // Theorem 13 from the initial state, L = all nonatomics: holds
-        // under both walks.
-        let l = all_nonatomics(&p);
-        assert!(
-            check_local_drf(&p.locs, p.initial_machine(), &l, cfg).is_ok(),
-            "full local DRF fails on {}",
-            t.name
-        );
-        assert!(
-            check_local_drf_reduced(&p.locs, p.initial_machine(), &l, cfg).is_ok(),
-            "reduced local DRF fails on {}",
-            t.name
-        );
+        assert_every_lane_agrees(t.name, &p);
     }
 }
 
@@ -149,11 +92,20 @@ fn corpus_reduced_checkers_match_full_verdicts() {
 fn corpus_reduced_race_detection_matches_full_polarity() {
     for t in all_tests() {
         let p = Program::parse(t.source).expect("corpus programs parse");
-        let full = detect_races_program(&p, EngineConfig::default(), DetectorConfig::default())
-            .expect("full detection fits budget");
-        let reduced =
-            detect_races_reduced_program(&p, EngineConfig::default(), DetectorConfig::default())
-                .expect("reduced detection fits budget");
+        let full = detect_races(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            EngineConfig::default(),
+            DetectorConfig::default(),
+        )
+        .expect("full detection fits budget");
+        let reduced = detect_races(
+            &p.locs,
+            Lane::Reduced(p.initial_machine()),
+            EngineConfig::default(),
+            DetectorConfig::default(),
+        )
+        .expect("reduced detection fits budget");
         assert_eq!(
             full.racy(),
             reduced.racy(),
@@ -186,33 +138,11 @@ proptest! {
         );
     }
 
-    /// The reduced checkers reproduce the full checkers' verdicts on
-    /// ≥128 random programs.
+    /// Every trace checker reaches the full walk's verdict on the reduced
+    /// and the replayed lane, on ≥128 random programs.
     #[test]
     fn reduced_checkers_match_full_on_random_programs(p in small_program()) {
-        let cfg = EngineConfig::default();
-        let full = sc_race_freedom(&p.locs, p.initial_machine(), cfg).unwrap();
-        let reduced = sc_race_freedom_reduced(&p.locs, p.initial_machine(), cfg).unwrap();
-        prop_assert_eq!(
-            matches!(full, DrfStatus::Racy(_)),
-            matches!(reduced, DrfStatus::Racy(_)),
-            "sc_race_freedom polarity diverges on\n{}", p
-        );
-        prop_assert_eq!(
-            all_traces_sequentially_consistent(&p.locs, p.initial_machine(), cfg).unwrap(),
-            all_traces_sequentially_consistent_reduced(&p.locs, p.initial_machine(), cfg)
-                .unwrap(),
-            "all-traces-SC verdict diverges on\n{}", p
-        );
-        let full_r =
-            detect_races_program(&p, cfg, DetectorConfig::default()).unwrap();
-        let reduced_r =
-            detect_races_reduced_program(&p, cfg, DetectorConfig::default()).unwrap();
-        prop_assert_eq!(
-            full_r.racy(),
-            reduced_r.racy(),
-            "race polarity diverges on\n{}", p
-        );
+        assert_every_lane_agrees(&p.to_string(), &p);
     }
 
     /// The reduction never *adds* traces: reduced complete-trace counts

@@ -1,30 +1,26 @@
 //! Property suite for the exploration engines: random programs are
 //! generated through the vendored proptest stub and every engine —
-//! sequential DFS, sequential BFS, level-synchronous parallel, and
-//! work-stealing — must agree on the *visited canonical state count*,
-//! the terminal outcome set, and every trace-checker verdict (sequential
-//! vs root-frontier-sharded).
+//! sequential DFS, sequential BFS and work-stealing — must agree on the
+//! *visited canonical state count* and the terminal outcome set, and
+//! every trace checker must agree across its lanes (full, reduced,
+//! replayed).
 //!
-//! These are the lock-down tests for the work-stealing pool and the
-//! sharded trace engine: parallel decomposition must be observationally
-//! invisible.
+//! These are the lock-down tests for the work-stealing pool: parallel
+//! decomposition must be observationally invisible.
 
 use proptest::prelude::*;
 
 mod common;
-use common::small_program;
+use common::{assert_every_lane_agrees, small_program, wide_program};
 
-use bdrst::axiomatic::{check_soundness, check_soundness_sharded, generate, GenLimits};
+use bdrst::axiomatic::{check_soundness, generate, GenLimits};
 use bdrst::core::engine::{
-    explorer, Control, Dedup, EngineConfig, StateId, Strategy as EngineStrategy, TraceEngine,
+    explorer, Control, Dedup, EngineConfig, Lane, StateId, Strategy as EngineStrategy, TraceEngine,
     WorkStealingEngine, WorklistEngine,
 };
 use bdrst::core::engine::{Explorer, SearchOrder};
 use bdrst::core::explore::ExploreConfig;
-use bdrst::core::localdrf::{
-    all_traces_sequentially_consistent, all_traces_sequentially_consistent_sharded,
-    sc_race_freedom, sc_race_freedom_sharded, DrfStatus,
-};
+use bdrst::core::localdrf::{all_traces_sequentially_consistent, sc_race_freedom, DrfStatus};
 use bdrst::core::machine::Machine;
 use bdrst::lang::{Program, ThreadState};
 
@@ -44,10 +40,9 @@ fn visited_count(p: &Program, engine: &dyn Explorer<ThreadState>) -> usize {
     n
 }
 
-const ALL_STRATEGIES: [EngineStrategy; 4] = [
+const ALL_STRATEGIES: [EngineStrategy; 3] = [
     EngineStrategy::Dfs,
     EngineStrategy::Bfs,
-    EngineStrategy::Parallel,
     EngineStrategy::WorkStealing,
 ];
 
@@ -105,44 +100,45 @@ proptest! {
         prop_assert_eq!(counts[0], counts[2], "1 vs 8 workers on\n{}", p);
     }
 
-    /// Sharding the SC-race scan at the root frontier never changes the
+    /// The reduced and the replayed lane never change the SC-race scan's
     /// racy / race-free classification.
     #[test]
-    fn sharded_race_verdict_matches_sequential(p in small_program()) {
+    fn race_verdict_agrees_across_lanes(p in small_program()) {
         let m0 = p.initial_machine();
-        let seq = sc_race_freedom(&p.locs, m0.clone(), EngineConfig::default())
-            .expect("fits budget");
-        let shd = sc_race_freedom_sharded(&p.locs, m0, EngineConfig::default(), 4)
-            .expect("fits budget");
-        prop_assert_eq!(
-            matches!(seq, DrfStatus::Racy(_)),
-            matches!(shd, DrfStatus::Racy(_)),
-            "race classification diverges on\n{}", p
-        );
+        let cfg = EngineConfig::default();
+        let (graph, _) = TraceEngine::new(cfg).record(&p.locs, m0.clone()).expect("fits budget");
+        let racy = |lane| {
+            matches!(
+                sc_race_freedom(&p.locs, lane, cfg).expect("fits budget"),
+                DrfStatus::Racy(_)
+            )
+        };
+        let full = racy(Lane::Full(m0.clone()));
+        prop_assert_eq!(racy(Lane::Reduced(m0)), full, "reduced race verdict diverges on\n{}", p);
+        prop_assert_eq!(racy(Lane::Replay(&graph)), full, "replayed race verdict diverges on\n{}", p);
     }
 
-    /// Sharding the weak-transition scan never changes the all-SC verdict.
+    /// The reduced and the replayed lane never change the all-SC verdict
+    /// of the weak-transition scan.
     #[test]
-    fn sharded_sc_verdict_matches_sequential(p in small_program()) {
+    fn sc_verdict_agrees_across_lanes(p in small_program()) {
         let m0 = p.initial_machine();
-        let seq = all_traces_sequentially_consistent(&p.locs, m0.clone(), EngineConfig::default())
-            .expect("fits budget");
-        let shd = all_traces_sequentially_consistent_sharded(
-            &p.locs, m0, EngineConfig::default(), 4,
-        )
-        .expect("fits budget");
-        prop_assert_eq!(seq, shd, "SC verdict diverges on\n{}", p);
+        let cfg = EngineConfig::default();
+        let (graph, _) = TraceEngine::new(cfg).record(&p.locs, m0.clone()).expect("fits budget");
+        let all_sc = |lane| {
+            all_traces_sequentially_consistent(&p.locs, lane, cfg).expect("fits budget")
+        };
+        let full = all_sc(Lane::Full(m0.clone()));
+        prop_assert_eq!(all_sc(Lane::Reduced(m0)), full, "reduced SC verdict diverges on\n{}", p);
+        prop_assert_eq!(all_sc(Lane::Replay(&graph)), full, "replayed SC verdict diverges on\n{}", p);
     }
 
-    /// The sharded Theorem-15 soundness checker inspects exactly the same
-    /// number of trace prefixes as the sequential one (the trace tree is
-    /// partitioned, never resampled).
+    /// Every trace checker reaches the full walk's verdict on the reduced
+    /// and the replayed lane over wide stores (72 nonatomic locations),
+    /// complementing the `dpor_reduction` sweep of the 3-location shape.
     #[test]
-    fn sharded_soundness_count_matches_sequential(p in small_program()) {
-        let seq = check_soundness(&p, ExploreConfig::default()).expect("theorem 15 holds");
-        let shd = check_soundness_sharded(&p, ExploreConfig::default(), 4)
-            .expect("theorem 15 holds");
-        prop_assert_eq!(seq, shd, "soundness prefix counts diverge on\n{}", p);
+    fn trace_checkers_agree_across_lanes(p in wide_program()) {
+        assert_every_lane_agrees(&p.to_string(), &p);
     }
 
     /// Fingerprint-first dedup visits exactly the same canonical state

@@ -9,7 +9,7 @@ mod common;
 use common::{small_program, wide_program};
 
 use bdrst::axiomatic::{check_equivalence, EnumLimits};
-use bdrst::core::engine::canonical_fingerprint;
+use bdrst::core::engine::{canonical_fingerprint, Lane};
 use bdrst::core::explore::ExploreConfig;
 use bdrst::core::frontier::Frontier;
 use bdrst::core::history::History;
@@ -108,7 +108,7 @@ proptest! {
     fn random_programs_local_drf(p in small_program()) {
         for loc in p.locs.nonatomic() {
             let l: LocPredicate = [loc].into_iter().collect();
-            let res = check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default());
+            let res = check_local_drf(&p.locs, Lane::Full(p.initial_machine()), &l, ExploreConfig::default());
             prop_assert!(res.is_ok(), "{:?}", res.err());
         }
     }
@@ -116,7 +116,7 @@ proptest! {
     /// Theorem 14 on random programs.
     #[test]
     fn random_programs_global_drf(p in small_program()) {
-        let res = check_global_drf(&p.locs, p.initial_machine(), ExploreConfig::default());
+        let res = check_global_drf(&p.locs, Lane::Full(p.initial_machine()), ExploreConfig::default());
         prop_assert!(res.is_ok(), "{:?}", res.err());
     }
 

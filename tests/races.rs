@@ -11,11 +11,11 @@ use proptest::prelude::*;
 mod common;
 use common::small_program;
 
-use bdrst::core::engine::{EngineConfig, TraceEngine};
+use bdrst::core::engine::{EngineConfig, Lane, TraceEngine};
 use bdrst::core::localdrf::{check_global_drf, sc_race_freedom, DrfStatus};
-use bdrst::lang::Program;
+use bdrst::lang::{Program, ThreadState};
 use bdrst::litmus::all_tests;
-use bdrst::race::{detect_races_program, detect_races_replayed, DetectorConfig};
+use bdrst::race::{detect_races, DetectorConfig};
 
 fn cfg() -> EngineConfig {
     EngineConfig::default()
@@ -24,12 +24,17 @@ fn cfg() -> EngineConfig {
 /// One full agreement check: detector (live + replayed) vs the checkers,
 /// plus witness validity and bound assertions.
 fn assert_detector_agrees(name: &str, p: &Program) {
-    let oracle = sc_race_freedom(&p.locs, p.initial_machine(), cfg())
+    let oracle = sc_race_freedom(&p.locs, Lane::Full(p.initial_machine()), cfg())
         .unwrap_or_else(|e| panic!("{name}: oracle failed: {e}"));
     let oracle_racy = matches!(oracle, DrfStatus::Racy(_));
 
-    let live = detect_races_program(p, cfg(), DetectorConfig::default())
-        .unwrap_or_else(|e| panic!("{name}: live detection failed: {e}"));
+    let live = detect_races(
+        &p.locs,
+        Lane::Full(p.initial_machine()),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("{name}: live detection failed: {e}"));
     assert_eq!(
         live.racy(),
         oracle_racy,
@@ -41,7 +46,7 @@ fn assert_detector_agrees(name: &str, p: &Program) {
     // check_global_drf consistency: Theorem 14 holds for the paper's
     // semantics, so a detector-race-free program must come back
     // RaceFree from the global checker too.
-    let global = check_global_drf(&p.locs, p.initial_machine(), cfg())
+    let global = check_global_drf(&p.locs, Lane::Full(p.initial_machine()), cfg())
         .unwrap_or_else(|e| panic!("{name}: global checker failed: {e}"));
     assert_eq!(matches!(global, DrfStatus::Racy(_)), live.racy());
 
@@ -49,8 +54,13 @@ fn assert_detector_agrees(name: &str, p: &Program) {
     let (graph, _) = TraceEngine::new(cfg())
         .record(&p.locs, p.initial_machine())
         .unwrap_or_else(|e| panic!("{name}: recording failed: {e}"));
-    let replayed = detect_races_replayed(&p.locs, &graph, cfg(), DetectorConfig::default())
-        .unwrap_or_else(|e| panic!("{name}: replayed detection failed: {e}"));
+    let replayed = detect_races(
+        &p.locs,
+        Lane::<ThreadState>::Replay(&graph),
+        cfg(),
+        DetectorConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("{name}: replayed detection failed: {e}"));
     assert_eq!(
         live.witnesses, replayed.witnesses,
         "{name}: live and replayed witnesses diverge"
@@ -80,7 +90,7 @@ fn corpus_detector_agrees_with_checkers() {
         let p = Program::parse(t.source).unwrap();
         assert_detector_agrees(t.name, &p);
         if matches!(
-            sc_race_freedom(&p.locs, p.initial_machine(), cfg()).unwrap(),
+            sc_race_freedom(&p.locs, Lane::Full(p.initial_machine()), cfg()).unwrap(),
             DrfStatus::Racy(_)
         ) {
             racy += 1;
@@ -95,7 +105,13 @@ fn corpus_detector_agrees_with_checkers() {
 fn every_racy_corpus_test_yields_a_shrinkable_witness() {
     for t in all_tests() {
         let p = Program::parse(t.source).unwrap();
-        let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+        let report = detect_races(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            cfg(),
+            DetectorConfig::default(),
+        )
+        .unwrap();
         if !report.racy() {
             continue;
         }
@@ -108,9 +124,14 @@ fn every_racy_corpus_test_yields_a_shrinkable_witness() {
         let after: usize = shrunk.program.threads.iter().map(|th| th.body.len()).sum();
         assert!(after <= before, "{}: shrink grew the program", t.name);
         assert!(
-            detect_races_program(&shrunk.program, cfg(), DetectorConfig::default())
-                .unwrap()
-                .racy(),
+            detect_races(
+                &shrunk.program.locs,
+                Lane::Full(shrunk.program.initial_machine()),
+                cfg(),
+                DetectorConfig::default()
+            )
+            .unwrap()
+            .racy(),
             "{}: shrunk program lost the race",
             t.name
         );

@@ -4,6 +4,7 @@
 //! (Thm 13) and global DRF (Thm 14).
 
 use bdrst::axiomatic::{check_equivalence, check_soundness, for_each_candidate, EnumLimits};
+use bdrst::core::engine::Lane;
 use bdrst::core::explore::ExploreConfig;
 use bdrst::core::localdrf::{check_global_drf, check_local_drf};
 use bdrst::core::trace::LocPredicate;
@@ -66,8 +67,13 @@ fn theorem_13_local_drf_from_initial_states() {
         // §5's rule of thumb: L = all nonatomic locations; initial states
         // are always L-stable.
         let l: LocPredicate = p.locs.nonatomic().collect();
-        check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default())
-            .unwrap_or_else(|e| panic!("{name}: local DRF violated: {e}"));
+        check_local_drf(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            &l,
+            ExploreConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: local DRF violated: {e}"));
     }
 }
 
@@ -77,8 +83,13 @@ fn theorem_13_singleton_location_sets() {
     for (name, p) in corpus_programs() {
         for loc in p.locs.nonatomic() {
             let l: LocPredicate = [loc].into_iter().collect();
-            check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default())
-                .unwrap_or_else(|e| panic!("{name}/{loc}: {e}"));
+            check_local_drf(
+                &p.locs,
+                Lane::Full(p.initial_machine()),
+                &l,
+                ExploreConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("{name}/{loc}: {e}"));
         }
     }
 }
@@ -86,7 +97,11 @@ fn theorem_13_singleton_location_sets() {
 #[test]
 fn theorem_14_global_drf_across_corpus() {
     for (name, p) in corpus_programs() {
-        check_global_drf(&p.locs, p.initial_machine(), ExploreConfig::default())
-            .unwrap_or_else(|e| panic!("{name}: global DRF theorem violated: {e}"));
+        check_global_drf(
+            &p.locs,
+            Lane::Full(p.initial_machine()),
+            ExploreConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: global DRF theorem violated: {e}"));
     }
 }
